@@ -225,15 +225,25 @@ pub struct Channel {
     gate_gen: u64,
     rank_gate: Vec<u64>,
     gate_stamp: Vec<u64>,
+    /// Rank of each bank index, so the scheduler sweep looks ranks up
+    /// instead of dividing by `banks_per_rank` per visited bank.
+    bank_rank: Vec<u32>,
+    /// Earliest `next_refresh` over all ranks, recomputed after every
+    /// refresh, fast-forward and restore so `tick` need not scan the
+    /// ranks to find it. It must never exceed the true minimum (that
+    /// would skip a refresh); deadlines only move later, so a lagging
+    /// value merely costs one scan.
+    refresh_due: u64,
 }
 
 impl Channel {
     pub fn new(cfg: DramConfig) -> Self {
         let g = &cfg.geometry;
         let nbanks = (g.ranks_per_channel * g.banks_per_rank) as usize;
-        let ranks = (0..g.ranks_per_channel)
+        let ranks: Vec<RankState> = (0..g.ranks_per_channel)
             .map(|r| RankState::new(&cfg.timing, u64::from(r)))
             .collect();
+        let refresh_due = earliest_refresh(&ranks);
         Channel {
             cfg,
             banks: vec![BankState::default(); nbanks],
@@ -249,6 +259,8 @@ impl Channel {
             gate_gen: 0,
             rank_gate: vec![0; g.ranks_per_channel as usize],
             gate_stamp: vec![0; g.ranks_per_channel as usize],
+            bank_rank: (0..nbanks as u32).map(|b| b / g.banks_per_rank).collect(),
+            refresh_due,
         }
     }
 
@@ -390,11 +402,7 @@ impl Channel {
                 if next_flag != flag {
                     now + 1
                 } else {
-                    let mut wake = qw;
-                    for rank in &self.ranks {
-                        wake = wake.min(rank.next_refresh);
-                    }
-                    wake.max(now + 1)
+                    qw.min(self.refresh_due).max(now + 1)
                 }
             }
         };
@@ -412,12 +420,16 @@ impl Channel {
                 self.log_cmd(deadline, Command::Refresh, r as u32, 0, 0);
             }
         }
+        self.refresh_due = earliest_refresh(&self.ranks);
         self.next_wake = 0;
     }
 
     /// Refresh model: at the per-rank deadline, force-close the rank's
     /// rows and block it for tRFC.
     fn handle_refresh(&mut self, now: u64) {
+        if now < self.refresh_due {
+            return;
+        }
         let t = self.cfg.timing;
         let banks_per_rank = self.cfg.geometry.banks_per_rank as usize;
         for r in 0..self.ranks.len() {
@@ -435,6 +447,7 @@ impl Channel {
                 self.log_cmd(now, Command::Refresh, r as u32, 0, 0);
             }
         }
+        self.refresh_due = earliest_refresh(&self.ranks);
     }
 
     /// FR-FCFS over the selected queue: issue a row-hit CAS if possible,
@@ -465,7 +478,6 @@ impl Channel {
     fn schedule(&mut self, now: u64, writes: bool) -> Option<u64> {
         let mut wake = u64::MAX;
         let t = self.cfg.timing;
-        let banks_per_rank = self.cfg.geometry.banks_per_rank as usize;
         let lat = if writes { t.t_cwd } else { t.t_cas };
 
         self.gate_gen += 1;
@@ -473,6 +485,7 @@ impl Channel {
         let q = if writes { &self.write_q } else { &self.read_q };
         let banks = &self.banks;
         let ranks = &self.ranks;
+        let bank_rank = &self.bank_rank;
         let bus = self.bus;
         let gates = &mut self.rank_gate;
         let stamps = &mut self.gate_stamp;
@@ -486,12 +499,12 @@ impl Channel {
             let list = q.bank_list(bi);
             let head = list[0];
             let bank = &banks[bi];
+            let r = bank_rank[bi] as usize;
             match bank.open_row {
                 Some(open) => {
                     // CAS candidate: the bank's oldest row-matching request.
                     if let Some(e) = list.iter().find(|e| e.row == open) {
-                        if stamps[bi / banks_per_rank] != gen {
-                            let r = bi / banks_per_rank;
+                        if stamps[r] != gen {
                             let rank = &ranks[r];
                             let cmd = if writes {
                                 rank.next_write
@@ -513,7 +526,7 @@ impl Channel {
                         } else {
                             bank.next_read
                         };
-                        let cas_at = bank_cmd.max(gates[bi / banks_per_rank]);
+                        let cas_at = bank_cmd.max(gates[r]);
                         debug_assert_eq!(
                             cas_at,
                             earliest_cas(
@@ -547,9 +560,7 @@ impl Channel {
                     }
                 }
                 None => {
-                    let act_at = bank
-                        .next_activate
-                        .max(ranks[bi / banks_per_rank].activate_allowed_at(&t));
+                    let act_at = bank.next_activate.max(ranks[r].activate_allowed_at(&t));
                     if act_at <= now {
                         if open_best.is_none_or(|(bs, _, _)| head.seq < bs) {
                             open_best = Some((head.seq, b, head.slot));
@@ -719,6 +730,7 @@ impl Channel {
         for rank in &mut self.ranks {
             *rank = RankState::load_state(r)?;
         }
+        self.refresh_due = earliest_refresh(&self.ranks);
         self.bus.free_at = r.u64("bus free_at")?;
         self.bus.last_rank = r.opt_u64("bus last_rank")?.map(|v| v as u32);
         self.read_q = load_queue(r, self.cfg.queues.read_queue, nbanks)?;
@@ -798,6 +810,15 @@ fn load_queue(r: &mut SnapReader, cap: usize, nbanks: usize) -> Result<RequestQu
         }
     }
     Ok(q)
+}
+
+/// Earliest refresh deadline over `ranks`.
+fn earliest_refresh(ranks: &[RankState]) -> u64 {
+    ranks
+        .iter()
+        .map(|r| r.next_refresh)
+        .min()
+        .unwrap_or(u64::MAX)
 }
 
 /// Earliest cycle at which `req`'s column access passes every

@@ -163,27 +163,29 @@ pub struct System {
     /// First-touch leaf-id maps, one per core; the RAS retirement path
     /// remaps entries, which is why they live on the system.
     leaf_maps: Vec<LeafMap>,
-    /// Online RAS pipeline, if configured (`take`n during hooks to keep
-    /// the borrow checker happy).
-    ras: Option<RasEngine>,
+    /// Online RAS pipeline, if configured. Its hooks `take` it so they
+    /// can borrow the rest of the system; boxed, so that take/put moves
+    /// a pointer on every DRAM tick and demand access, not the engine.
+    ras: Option<Box<RasEngine>>,
     /// Where each DRAM data block's metadata lives: block address ->
     /// (partition, engine-domain block), for recovery parity lookups on
     /// patrol reads.
     ras_loc: HashMap<u64, (usize, u64)>,
-    /// Enclave lifecycle driver (`take`n during fetch/tick, like the
-    /// RAS engine); `None` = static workload.
-    churn: Option<ChurnDriver>,
+    /// Enclave lifecycle driver (`take`n by the per-cycle churn tick,
+    /// boxed like the RAS engine); `None` = static workload.
+    churn: Option<Box<ChurnDriver>>,
     isolated: bool,
     cycle: u64,
     /// Cores proven stalled until a memory completion (or finished for
     /// good): their per-cycle retire/fetch calls are provable no-ops and
-    /// are skipped. Only maintained for static workloads without a RAS
-    /// pipeline — lifecycle hooks can unblock a core from outside the
-    /// memory path, so parking is disabled when either is active.
+    /// are skipped. Maintained for every run: the only hook that changes
+    /// a core from outside retire/fetch and completion delivery is the
+    /// churn driver's reload of a finished slot, so a finished core is
+    /// never parked while a churn driver is attached (see
+    /// [`maybe_park`](Self::maybe_park)). Derived state: snapshots
+    /// store it as all-clear and a restored run re-parks on its first
+    /// cycle.
     parked: Vec<bool>,
-    /// Number of `true` entries in `parked` (all-parked cycles take an
-    /// even shorter event-skip path).
-    nparked: usize,
     /// Reusable completion-drain buffer for the run loop.
     comp_buf: Vec<Completion>,
     /// Durable checkpoint sink, if crash recovery is enabled
@@ -204,7 +206,7 @@ impl System {
         let ncores = cores.len();
         let isolated = engine.spec().isolated;
         let ras = cfg.ras.clone().map(|rc| {
-            RasEngine::new(
+            Box::new(RasEngine::new(
                 rc,
                 engine.parity_group_share(),
                 cfg.engine.rank_stride_blocks,
@@ -212,7 +214,7 @@ impl System {
                 // SecDDR detects through the link MAC with no tree at
                 // all (its faults become DUEs, not SDCs).
                 engine.detects_errors(),
-            )
+            ))
         });
         let leaf_maps = vec![LeafMap::default(); cores.len()];
         System {
@@ -229,7 +231,6 @@ impl System {
             isolated,
             cycle: 0,
             parked: vec![false; ncores],
-            nparked: 0,
             comp_buf: Vec::new(),
             snap: None,
         }
@@ -269,7 +270,12 @@ impl System {
         );
         let phys_bytes = cfg.dram.geometry.capacity_bytes();
         let mut sys = Self::from_traces(cfg, vec![Vec::new(); slots]);
-        sys.churn = Some(ChurnDriver::new(workload, phys_bytes, seed, rebuild_parity));
+        sys.churn = Some(Box::new(ChurnDriver::new(
+            workload,
+            phys_bytes,
+            seed,
+            rebuild_parity,
+        )));
         sys
     }
 
@@ -367,7 +373,9 @@ impl System {
         } else {
             self.cfg.max_cycles
         };
-        let parking = self.ras.is_none() && self.churn.is_none();
+        // Bulk advance reasons only about cores and DRAM (see its doc);
+        // parking, by contrast, runs for every workload.
+        let bulk = self.ras.is_none() && self.churn.is_none();
 
         while !self.all_done() {
             assert!(self.cycle < limit, "simulation exceeded max_cycles");
@@ -401,9 +409,7 @@ impl System {
                 self.mem.drain_completions_into(&mut buf);
                 for c in &buf {
                     if let Some(tag) = self.tags.remove(&c.id) {
-                        if std::mem::replace(&mut self.parked[tag.core], false) {
-                            self.nparked -= 1;
-                        }
+                        self.parked[tag.core] = false;
                         if let Some(p) = self.cores[tag.core]
                             .reads
                             .iter_mut()
@@ -424,13 +430,11 @@ impl System {
                 }
                 self.retire(core_idx);
                 self.fetch(core_idx);
-                if parking {
-                    self.maybe_park(core_idx);
-                }
+                self.maybe_park(core_idx);
             }
 
             self.try_fast_forward();
-            if parking {
+            if bulk {
                 self.try_bulk_advance();
             }
             self.try_event_skip();
@@ -441,8 +445,10 @@ impl System {
     /// Park a core whose retire/fetch are provably no-ops until a read
     /// completion arrives. Two cases:
     ///
-    /// * the core is [`done`](Core::done) — with no churn driver there
-    ///   is nothing left to do, ever;
+    /// * the core is [`done`](Core::done) and no churn driver is
+    ///   attached — there is nothing left to do, ever (a churn driver
+    ///   may reload a finished slot with its next session, which no
+    ///   completion would announce);
     /// * the ROB head is an outstanding read (blocks retirement) and
     ///   fetch cannot add work either (ROB full, or the trace is
     ///   drained). The head read's completion is then the only event
@@ -452,16 +458,14 @@ impl System {
     /// mutated anything, so cycle-level behavior is bit-identical.
     fn maybe_park(&mut self, ci: usize) {
         let core = &self.cores[ci];
-        let park = core.done()
+        let park = (core.done() && self.churn.is_none())
             || (core.blocked_write.is_none()
                 && (core.trace_done() || core.rob_occupancy() >= self.cfg.rob_size)
                 && core
                     .reads
                     .front()
                     .is_some_and(|f| f.rob_pos == core.retired && !f.done));
-        if park && !std::mem::replace(&mut self.parked[ci], true) {
-            self.nparked += 1;
-        }
+        self.parked[ci] = park;
     }
 
     /// One CPU-cycle step of the enclave lifecycle: fire page-free
@@ -647,7 +651,7 @@ impl System {
         self.mem.is_idle()
             && self.pending_meta.is_empty()
             && self.cores.iter().all(Core::done)
-            && self.churn.as_ref().is_none_or(ChurnDriver::done)
+            && self.churn.as_deref().is_none_or(ChurnDriver::done)
     }
 
     /// Issue queued metadata / writeback transactions as space frees up.
@@ -712,22 +716,13 @@ impl System {
 
     /// Fetch up to `width` instructions into the ROB; memory ops issue
     /// their DRAM and metadata traffic here (reads) or at retire
-    /// (writes, via `blocked_write` when the queue is full).
+    /// (writes, via `blocked_write` when the queue is full). Runs once
+    /// per unparked core per CPU cycle, so it borrows the leaf map and
+    /// churn driver in place rather than moving them out of `self`.
     fn fetch(&mut self, ci: usize) {
         if self.cores[ci].stall_until > self.cycle {
             return;
         }
-        // The leaf map and churn driver step aside so fetch can borrow
-        // the rest of the system mutably; retirement remaps run at DRAM
-        // ticks, never inside fetch, so this window is safe.
-        let mut lm = std::mem::take(&mut self.leaf_maps[ci]);
-        let mut ch = self.churn.take();
-        self.fetch_with(ci, &mut lm, ch.as_mut());
-        self.churn = ch;
-        self.leaf_maps[ci] = lm;
-    }
-
-    fn fetch_with(&mut self, ci: usize, lm: &mut LeafMap, mut ch: Option<&mut ChurnDriver>) {
         let dram_now = self.cycle / CPU_PER_DRAM_CYCLE;
         let mut budget = self.cfg.width;
         while budget > 0 {
@@ -757,23 +752,24 @@ impl System {
             // so translations cannot be precomputed.
             let rec = core.trace[core.pos];
             let is_write = rec.op == MemOp::Write;
-            let (paddr, eb) = match ch.as_deref_mut() {
+            let (paddr, eb) = match self.churn.as_deref_mut() {
                 Some(d) => {
                     let (paddr, eb, lifecycle) = d.on_access(ci, rec.paddr, &mut self.engine);
                     self.queue_meta(&lifecycle);
                     (paddr, eb)
                 }
-                None => (rec.paddr, Self::enclave_block(lm, rec.paddr)),
+                None => (
+                    rec.paddr,
+                    Self::enclave_block(&mut self.leaf_maps[ci], rec.paddr),
+                ),
             };
             let daddr = self.frame_addr(paddr);
             let core = &mut self.cores[ci];
             if is_write {
                 // Writes retire into the write queue; metadata issues now.
-                let rob_pos = core.fetched;
                 core.fetched += 1;
                 core.op_issued = true;
                 budget -= 1;
-                let _ = rob_pos;
                 let ok = self.mem.enqueue_write(daddr, dram_now).is_ok();
                 if !ok {
                     self.cores[ci].blocked_write = Some(daddr);
@@ -783,7 +779,7 @@ impl System {
                     self.cores[ci].stall_until = self.cycle + out.stall_cycles;
                 }
                 self.queue_meta(&out.mem);
-                if let Some(d) = ch.as_deref_mut() {
+                if let Some(d) = self.churn.as_deref_mut() {
                     d.record_write(ci, rec.paddr);
                 }
                 self.ras_on_demand(ci, paddr, daddr, eb, true);
@@ -844,7 +840,8 @@ impl System {
     /// channel contract. Anything nonlinear (a memory op due, a stall
     /// deadline, a blocked write, a record advance, a completed head
     /// read) zeroes the window and falls back to per-cycle stepping.
-    /// Only active for static workloads without RAS, like parking.
+    /// Only active for static workloads without RAS: the window is
+    /// clipped by memory events, not by RAS slots or churn admissions.
     fn try_bulk_advance(&mut self) {
         // Only while memory has work: an idle-memory jump could pass
         // the cycle where the run-loop would have observed `all_done`
@@ -980,7 +977,7 @@ impl System {
         }
         // Likewise the next enclave arrival: idle slots may only sleep
         // until their session's admission time.
-        if let Some(ready) = self.churn.as_ref().and_then(ChurnDriver::next_ready) {
+        if let Some(ready) = self.churn.as_deref().and_then(ChurnDriver::next_ready) {
             jump = jump.min(ready.saturating_sub(self.cycle));
         }
         if jump == u64::MAX || jump < 8 {
@@ -1077,23 +1074,9 @@ impl System {
             }
         }
 
-        // Parked cores are provably frozen until a read completion, and
-        // completions only happen at memory work ticks — already bounded
-        // by `target`. (Their `stall_until` deadlines are unobservable
-        // while parked: fetch stays ROB- or trace-blocked regardless.)
-        if self.nparked == self.cores.len() {
-            let lim = if self.mem.is_idle() {
-                CPU_PER_DRAM_CYCLE
-            } else {
-                1
-            };
-            if target == u64::MAX || target <= self.cycle + lim {
-                return;
-            }
-            self.cycle = target - 1;
-            return;
-        }
-
+        // Parked cores are walked like the rest (they fall through to
+        // `continue` below), so parking never changes which cycles the
+        // loop visits — snapshot captures land on visited cycles.
         for core in &self.cores {
             // Retire side. A blocked write drains as soon as the queue
             // has space; an undone head read waits on its completion.
@@ -1237,7 +1220,10 @@ impl System {
             w.usize(part);
             w.u64(rb);
         });
-        w.seq(self.parked.iter(), |w, &p| w.bool(p));
+        // Parked flags are derived state (a restored run re-parks on its
+        // first cycle), written as all-clear so snapshot bytes do not
+        // depend on which cores the loop happened to be skipping.
+        w.seq(self.parked.iter(), |w, _| w.bool(false));
     }
 
     /// Restore from [`Self::save_state`] bytes into a system freshly
@@ -1372,10 +1358,12 @@ impl System {
                 at: r.pos(),
             });
         }
-        for p in &mut self.parked {
-            *p = r.bool("parked")?;
+        // Derived state: whatever was stored, resume with every core
+        // unparked; the first cycle's `maybe_park` re-derives the flags.
+        for _ in 0..n {
+            r.bool("parked")?;
         }
-        self.nparked = self.parked.iter().filter(|&&p| p).count();
+        self.parked.fill(false);
         self.comp_buf.clear();
         Ok(())
     }
@@ -1395,7 +1383,7 @@ impl System {
 
         let churn = self
             .churn
-            .as_ref()
+            .as_deref()
             .map_or_else(ChurnStats::default, ChurnDriver::stats);
 
         let finishes: Vec<u64> = self

@@ -6,11 +6,14 @@
 
 use std::fs;
 
-use itesp_core::Scheme;
+use itesp_core::{EngineConfig, Scheme};
+use itesp_dram::DramConfig;
 use itesp_sim::recovery::{recover_system, recover_system_strict, RecoverError, SnapshotSink};
-use itesp_sim::{build_churn_ras_system, ExperimentParams, RasConfig, RunResult, System};
-use itesp_snap::{SnapReader, SnapshotStore, StoreError};
-use itesp_trace::{benchmark, ChurnConfig, ChurnWorkload};
+use itesp_sim::{
+    build_churn_ras_system, ExperimentParams, RasConfig, RunResult, System, SystemConfig,
+};
+use itesp_snap::{SnapReader, SnapWriter, SnapshotStore, StoreError};
+use itesp_trace::{benchmark, ChurnConfig, ChurnWorkload, MultiProgram};
 
 fn seed() -> u64 {
     std::env::var("ITESP_TEST_SEED")
@@ -109,6 +112,60 @@ fn every_snapshot_resumes_to_the_identical_final_result() {
         checked += 1;
     }
     assert!(checked >= 1, "no loadable snapshot to check (seed {seed})");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Static runs park cores most of the time. Parked flags are derived
+/// state: a snapshot stores them all-clear and a resumed run re-parks on
+/// its first cycle. So restore -> re-save must reproduce each file's
+/// payload byte for byte (it would not if a parked flag had been
+/// stored set), and the resumed suffix must match the uninterrupted run.
+#[test]
+fn static_snapshots_are_parking_independent_fixed_points() {
+    let seed = seed();
+    let dir = tmpdir("static");
+    let build = || {
+        let mp = MultiProgram::homogeneous(benchmark("mcf").unwrap(), 4, 1500, seed);
+        let engine = EngineConfig {
+            enclaves: 4,
+            ..EngineConfig::paper_default(Scheme::Itesp)
+        };
+        let cfg = SystemConfig::table_iii(DramConfig::table_iii(), engine)
+            .with_ras(RasConfig::new(seed ^ 0xFA17).with_fault_rate(200.0));
+        System::new(cfg, &mp)
+    };
+    let baseline = {
+        let mut sys = build();
+        sys.attach_snapshots(SnapshotSink::new(&dir, 20_000).unwrap());
+        fp(&sys.try_run().unwrap())
+    };
+
+    let store = SnapshotStore::open(&dir).unwrap();
+    let mut checked = 0;
+    for rec in store.wal_records().unwrap() {
+        let Ok((_, payload)) = store.load(rec.seq) else {
+            continue; // pruned
+        };
+        let mut sys = build();
+        let mut r = SnapReader::new(&payload);
+        sys.load_state(&mut r).unwrap();
+        r.finish().unwrap();
+        let mut w = SnapWriter::new();
+        sys.save_state(&mut w);
+        assert!(
+            w.into_bytes() == payload,
+            "snapshot {} is not a fixed point (seed {seed})",
+            rec.seq
+        );
+        assert_eq!(
+            fp(&sys.try_run().unwrap()),
+            baseline,
+            "suffix replay from snapshot {} diverged (seed {seed})",
+            rec.seq
+        );
+        checked += 1;
+    }
+    assert!(checked >= 2, "too few snapshots to check (seed {seed})");
     let _ = fs::remove_dir_all(&dir);
 }
 
