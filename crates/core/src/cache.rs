@@ -85,7 +85,7 @@ pub fn largest_valid_capacity(budget_bytes: usize, ways: usize) -> usize {
 }
 
 /// A write-back, LRU, set-associative cache of 64-byte blocks.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MetaCache {
     lines: Vec<Line>,
     sets: usize,
@@ -289,78 +289,47 @@ impl MetaCache {
         &self.stats
     }
 
-    /// Serialize the full cache image for a crash-recovery snapshot:
-    /// geometry (partitions are resized at runtime, so the restored
-    /// shape cannot be derived from config), every line, the LRU tick,
-    /// and statistics.
-    pub fn save_state(&self, w: &mut itesp_snap::SnapWriter) {
-        w.section("CACH", 1);
-        w.usize(self.sets);
-        w.usize(self.ways);
-        w.u64(self.tick);
-        w.seq(self.lines.iter(), |w, l| {
-            w.u64(l.tag);
-            w.bool(l.valid);
-            w.bool(l.dirty);
-            w.u64(l.last_use);
-            w.u64(l.hits_since_fill);
-        });
-        let s = &self.stats;
-        for v in [
-            s.accesses,
-            s.hits,
-            s.misses,
-            s.writebacks,
-            s.evicted_block_hits,
-            s.evicted_blocks,
-        ] {
-            w.u64(v);
+    /// A decoded geometry must address exactly its lines.
+    fn check_geometry(&self) -> Result<(), &'static str> {
+        let lines = self.sets.checked_mul(self.ways);
+        if self.sets.is_power_of_two() && self.ways > 0 && lines == Some(self.lines.len()) {
+            Ok(())
+        } else {
+            Err("cache geometry")
         }
-    }
-
-    /// Rebuild a cache from [`MetaCache::save_state`] bytes.
-    pub fn load_state(r: &mut itesp_snap::SnapReader) -> Result<Self, itesp_snap::SnapError> {
-        r.section("CACH", 1)?;
-        let sets = r.usize("cache sets")?;
-        let ways = r.usize("cache ways")?;
-        let tick = r.u64("cache tick")?;
-        let n = r.seq_len("cache lines")?;
-        if !sets.is_power_of_two() || ways == 0 || n != sets * ways {
-            return Err(itesp_snap::SnapError::Corrupt {
-                what: "cache geometry",
-                at: r.pos(),
-            });
-        }
-        let mut lines = Vec::with_capacity(n);
-        for _ in 0..n {
-            lines.push(Line {
-                tag: r.u64("line tag")?,
-                valid: r.bool("line valid")?,
-                dirty: r.bool("line dirty")?,
-                last_use: r.u64("line last_use")?,
-                hits_since_fill: r.u64("line hits_since_fill")?,
-            });
-        }
-        let stats = CacheStats {
-            accesses: r.u64("cache accesses")?,
-            hits: r.u64("cache hits")?,
-            misses: r.u64("cache misses")?,
-            writebacks: r.u64("cache writebacks")?,
-            evicted_block_hits: r.u64("cache evicted_block_hits")?,
-            evicted_blocks: r.u64("cache evicted_blocks")?,
-        };
-        Ok(MetaCache {
-            lines,
-            sets,
-            ways,
-            tick,
-            stats,
-        })
     }
 }
 
+// The full cache image: geometry (partitions are resized at runtime, so
+// the restored shape cannot be derived from config), every line, the
+// LRU tick, and statistics.
+itesp_snap::persist!(MetaCache, "CACH", 1 {
+    sets,
+    ways,
+    tick,
+    lines,
+    stats,
+} check MetaCache::check_geometry);
+
+itesp_snap::persist!(Line {
+    tag,
+    valid,
+    dirty,
+    last_use,
+    hits_since_fill,
+});
+
+itesp_snap::persist!(CacheStats {
+    accesses,
+    hits,
+    misses,
+    writebacks,
+    evicted_block_hits,
+    evicted_blocks,
+});
+
 /// Per-enclave partitioned metadata cache (Section III-A).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PartitionedCache {
     partitions: Vec<MetaCache>,
 }
@@ -418,22 +387,9 @@ impl PartitionedCache {
         }
         s
     }
-
-    /// Serialize every partition for a crash-recovery snapshot.
-    pub fn save_state(&self, w: &mut itesp_snap::SnapWriter) {
-        w.seq(self.partitions.iter(), |w, p| p.save_state(w));
-    }
-
-    /// Rebuild from [`PartitionedCache::save_state`] bytes.
-    pub fn load_state(r: &mut itesp_snap::SnapReader) -> Result<Self, itesp_snap::SnapError> {
-        let n = r.seq_len("cache partitions")?;
-        let mut partitions = Vec::with_capacity(n);
-        for _ in 0..n {
-            partitions.push(MetaCache::load_state(r)?);
-        }
-        Ok(PartitionedCache { partitions })
-    }
 }
+
+itesp_snap::persist!(PartitionedCache { partitions });
 
 #[cfg(test)]
 mod tests {

@@ -27,6 +27,7 @@ use crate::error::EngineConfigError;
 use crate::model::SchemeModel;
 use crate::scheme::{ModelFamily, Scheme, SchemeSpec, TreeKind};
 use crate::tree::TreeGeometry;
+use itesp_snap::{Persist, SnapError, SnapReader, SnapWriter};
 
 /// Which metadata structure a transaction belongs to (Figure 9's
 /// breakdown categories).
@@ -341,6 +342,16 @@ pub struct EngineStats {
     pub overflow_stall_cycles: u64,
 }
 
+itesp_snap::persist!(EngineStats {
+    data_reads,
+    data_writes,
+    meta_reads,
+    meta_writes,
+    case_counts,
+    overflows,
+    overflow_stall_cycles,
+});
+
 impl EngineStats {
     /// Total data accesses.
     pub fn data_accesses(&self) -> u64 {
@@ -498,32 +509,13 @@ impl SecurityEngine {
         s
     }
 
-    /// Serialize the engine for a crash-recovery snapshot: a config
-    /// fingerprint (so a snapshot cannot be restored into an engine
-    /// built for a different scheme or capacity), the statistics, and
-    /// the scheme model's full mutable state.
-    pub fn save_state(&self, w: &mut itesp_snap::SnapWriter) {
-        w.section("ENGN", 1);
-        w.str(self.cfg.scheme.label());
-        w.usize(self.cfg.enclaves);
-        w.u64(self.cfg.data_capacity);
-        w.u64(self.cfg.enclave_capacity);
-        w.usize(self.cfg.metadata_cache_bytes);
-        w.usize(self.cfg.cache_ways);
-        w.bool(self.cfg.model_overflow);
-        w.u64(self.cfg.rank_stride_blocks);
-        let s = &self.stats;
-        w.u64(s.data_reads);
-        w.u64(s.data_writes);
-        for v in s.meta_reads.iter().chain(&s.meta_writes) {
-            w.u64(*v);
-        }
-        for v in &s.case_counts {
-            w.u64(*v);
-        }
-        w.u64(s.overflows);
-        w.u64(s.overflow_stall_cycles);
-        self.model.save_state(w);
+    /// Serialize the engine for a crash-recovery snapshot (its
+    /// [`Persist`] impl): a config fingerprint (so a snapshot cannot be
+    /// restored into an engine built for a different scheme or
+    /// capacity), the statistics, and the scheme model's full mutable
+    /// state.
+    pub fn save_state(&self, w: &mut SnapWriter) {
+        w.put(self);
     }
 
     /// Restore a freshly built engine (same config) from
@@ -532,41 +524,8 @@ impl SecurityEngine {
     /// # Errors
     /// [`itesp_snap::SnapError::Corrupt`] if the snapshot's config
     /// fingerprint does not match this engine's configuration.
-    pub fn load_state(
-        &mut self,
-        r: &mut itesp_snap::SnapReader,
-    ) -> Result<(), itesp_snap::SnapError> {
-        r.section("ENGN", 1)?;
-        let fp_ok = r.str("engine scheme")? == self.cfg.scheme.label()
-            && r.usize("engine enclaves")? == self.cfg.enclaves
-            && r.u64("engine data_capacity")? == self.cfg.data_capacity
-            && r.u64("engine enclave_capacity")? == self.cfg.enclave_capacity
-            && r.usize("engine metadata_cache_bytes")? == self.cfg.metadata_cache_bytes
-            && r.usize("engine cache_ways")? == self.cfg.cache_ways
-            && r.bool("engine model_overflow")? == self.cfg.model_overflow
-            && r.u64("engine rank_stride_blocks")? == self.cfg.rank_stride_blocks;
-        if !fp_ok {
-            return Err(itesp_snap::SnapError::Corrupt {
-                what: "engine config fingerprint (snapshot from a different configuration)",
-                at: r.pos(),
-            });
-        }
-        self.stats.data_reads = r.u64("stats data_reads")?;
-        self.stats.data_writes = r.u64("stats data_writes")?;
-        for v in self
-            .stats
-            .meta_reads
-            .iter_mut()
-            .chain(self.stats.meta_writes.iter_mut())
-        {
-            *v = r.u64("stats meta counts")?;
-        }
-        for v in &mut self.stats.case_counts {
-            *v = r.u64("stats case_counts")?;
-        }
-        self.stats.overflows = r.u64("stats overflows")?;
-        self.stats.overflow_stall_cycles = r.u64("stats overflow_stall_cycles")?;
-        self.model.load_state(r)
+    pub fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+        r.get_into(self, "security engine")
     }
 
     /// Which cache partition and block index a data access uses.
@@ -816,6 +775,67 @@ impl SecurityEngine {
         mem
     }
 }
+
+impl Persist for SecurityEngine {
+    fn save(&self, w: &mut SnapWriter) {
+        w.section("ENGN", 1);
+        w.put(&EngineFingerprint::of(&self.cfg));
+        w.put(&self.stats);
+        w.put(&*self.model);
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>, _what: &'static str) -> Result<(), SnapError> {
+        r.section("ENGN", 1)?;
+        let fp: EngineFingerprint = r.get("engine config")?;
+        if fp != EngineFingerprint::of(&self.cfg) {
+            return Err(SnapError::Corrupt {
+                what: "engine config fingerprint (snapshot from a different configuration)",
+                at: r.pos(),
+            });
+        }
+        r.get_into(&mut self.stats, "engine stats")?;
+        r.get_into(&mut *self.model, "scheme model")
+    }
+}
+
+/// The configuration fields a snapshot must have been taken under.
+#[derive(Debug, Default, PartialEq)]
+struct EngineFingerprint {
+    scheme: String,
+    enclaves: usize,
+    data_capacity: u64,
+    enclave_capacity: u64,
+    metadata_cache_bytes: usize,
+    cache_ways: usize,
+    model_overflow: bool,
+    rank_stride_blocks: u64,
+}
+
+impl EngineFingerprint {
+    fn of(cfg: &EngineConfig) -> Self {
+        EngineFingerprint {
+            scheme: cfg.scheme.label().to_owned(),
+            enclaves: cfg.enclaves,
+            data_capacity: cfg.data_capacity,
+            enclave_capacity: cfg.enclave_capacity,
+            metadata_cache_bytes: cfg.metadata_cache_bytes,
+            cache_ways: cfg.cache_ways,
+            model_overflow: cfg.model_overflow,
+            rank_stride_blocks: cfg.rank_stride_blocks,
+        }
+    }
+}
+
+itesp_snap::persist!(EngineFingerprint {
+    scheme,
+    enclaves,
+    data_capacity,
+    enclave_capacity,
+    metadata_cache_bytes,
+    cache_ways,
+    model_overflow,
+    rank_stride_blocks,
+});
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -105,15 +105,6 @@ impl SchemeModel for LinkLevelModel {
     fn recovery_parity_addr(&self, _part: usize, _block: u64) -> Option<u64> {
         None
     }
-
-    fn save_state(&self, w: &mut itesp_snap::SnapWriter) {
-        w.section("LINK", 1);
-        w.u64(self.transfers);
-    }
-
-    fn load_state(&mut self, r: &mut itesp_snap::SnapReader) -> Result<(), itesp_snap::SnapError> {
-        r.section("LINK", 1)?;
-        self.transfers = r.u64("link transfers")?;
-        Ok(())
-    }
 }
+
+itesp_snap::persist!(LinkLevelModel, "LINK", 1 { transfers });

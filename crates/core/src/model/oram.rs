@@ -281,48 +281,16 @@ impl SchemeModel for OramModel {
         let group = parity_group(block, 8, self.layout.rank_stride_blocks);
         Some(self.layout.parity_base + (group / 8) * 64)
     }
-
-    fn save_state(&self, w: &mut itesp_snap::SnapWriter) {
-        w.section("ORAM", 1);
-        let mut positions: Vec<_> = self.state.positions.iter().collect();
-        positions.sort_unstable_by_key(|(k, _)| **k);
-        w.seq(positions.into_iter(), |w, (k, v)| {
-            w.u64(*k);
-            w.u64(*v);
-        });
-        let mut counts: Vec<_> = self.state.counts.iter().collect();
-        counts.sort_unstable_by_key(|(k, _)| **k);
-        w.seq(counts.into_iter(), |w, (k, v)| {
-            w.u64(*k);
-            w.u64(*v);
-        });
-        w.u64(self.state.pending_evict);
-        w.u64(self.state.evict_seq);
-    }
-
-    fn load_state(&mut self, r: &mut itesp_snap::SnapReader) -> Result<(), itesp_snap::SnapError> {
-        r.section("ORAM", 1)?;
-        let n = r.seq_len("oram positions")?;
-        let mut positions = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let k = r.u64("position block")?;
-            positions.insert(k, r.u64("position leaf")?);
-        }
-        let n = r.seq_len("oram counts")?;
-        let mut counts = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let k = r.u64("count block")?;
-            counts.insert(k, r.u64("count value")?);
-        }
-        self.state = OramState {
-            positions,
-            counts,
-            pending_evict: r.u64("oram pending_evict")?,
-            evict_seq: r.u64("oram evict_seq")?,
-        };
-        Ok(())
-    }
 }
+
+itesp_snap::persist!(OramModel, "ORAM", 1 { state });
+
+itesp_snap::persist!(OramState {
+    positions,
+    counts,
+    pending_evict,
+    evict_seq,
+});
 
 /// The oracle's independent twin of the ORAM access model: it keeps
 /// its own position map and eviction schedule and predicts the exact

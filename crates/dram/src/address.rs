@@ -23,6 +23,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::config::{DramGeometry, BLOCK_SHIFT};
+use itesp_snap::persist;
 
 /// How physical addresses map onto DRAM coordinates. See module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -69,7 +70,7 @@ impl AddressMapping {
 }
 
 /// A physical address decoded into DRAM coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct DecodedAddr {
     pub channel: u32,
     pub rank: u32,
@@ -85,6 +86,14 @@ impl DecodedAddr {
         ((self.channel * g.ranks_per_channel + self.rank) * g.banks_per_rank + self.bank) as usize
     }
 }
+
+persist!(DecodedAddr {
+    channel as u64,
+    rank as u64,
+    bank as u64,
+    row as u64,
+    column as u64,
+});
 
 /// Splits physical byte addresses into DRAM coordinates per a policy.
 #[derive(Debug, Clone, Copy)]

@@ -31,11 +31,10 @@
 //!   between events, so the skipped ticks are provably no-ops and the
 //!   command stream is identical to ticking every cycle.
 
-use crate::address::DecodedAddr;
 use crate::bank::{BankState, RankState};
 use crate::command::{ChannelStats, Command, Completion, IssuedCommand, Request};
 use crate::config::{DramConfig, DramTiming};
-use itesp_snap::{SnapError, SnapReader, SnapWriter};
+use itesp_snap::{persist, Persist, SnapError, SnapReader, SnapWriter};
 
 /// State of the shared data bus: last burst's rank and end time.
 #[derive(Debug, Clone, Copy, Default)]
@@ -659,104 +658,51 @@ impl Channel {
     }
 }
 
-impl Channel {
-    /// Serialize the full controller state for a crash-recovery
-    /// snapshot: bank/rank timing, bus, both queues (age order),
-    /// drain flag, stats, and undrained completions.
-    ///
-    /// # Panics
-    /// Panics if command logging is enabled — the log is a debugging
-    /// artifact that cannot be restored canonically, so snapshotting a
-    /// logged run is refused rather than silently dropping it.
-    pub fn save_state(&self, w: &mut SnapWriter) {
+persist!(DataBus {
+    free_at,
+    last_rank as Option<u64>,
+});
+
+/// The full controller state for a crash-recovery snapshot: bank/rank
+/// timing, bus, both queues (age order), drain flag, stats, and
+/// undrained completions. Loading restores a freshly constructed
+/// channel (same config); the scheduler's wake time and rank-gate
+/// caches are recomputed, not restored: resetting them only costs a
+/// redundant sweep, never changes the command stream.
+///
+/// # Panics
+/// Saving panics if command logging is enabled — the log is a
+/// debugging artifact that cannot be restored canonically, so
+/// snapshotting a logged run is refused rather than silently dropping
+/// it.
+impl Persist for Channel {
+    fn save(&self, w: &mut SnapWriter) {
         assert!(
             self.cmd_log.is_none(),
             "cannot snapshot a channel with command logging enabled"
         );
         w.section("CHAN", 1);
-        w.seq(self.banks.iter(), |w, b| b.save_state(w));
-        w.seq(self.ranks.iter(), |w, r| r.save_state(w));
-        w.u64(self.bus.free_at);
-        w.opt_u64(self.bus.last_rank.map(u64::from));
-        save_queue(&self.read_q, w);
-        save_queue(&self.write_q, w);
-        w.bool(self.draining_writes);
-        let s = &self.stats;
-        for v in [
-            s.reads,
-            s.writes,
-            s.activates,
-            s.precharges,
-            s.refreshes,
-            s.row_hits,
-            s.row_misses,
-            s.total_read_latency,
-            s.bus_busy_cycles,
-        ] {
-            w.u64(v);
-        }
-        w.seq(self.completions.iter(), |w, c| {
-            w.u64(c.id);
-            w.bool(c.is_write);
-            w.u64(c.finish);
-            w.u64(c.arrival);
-        });
+        w.put(&self.banks);
+        w.put(&self.ranks);
+        w.put(&self.bus);
+        w.put(&self.read_q.live_by_seq());
+        w.put(&self.write_q.live_by_seq());
+        w.put(&self.draining_writes);
+        w.put(&self.stats);
+        w.put(&self.completions);
     }
 
-    /// Restore a freshly constructed channel (same config) from
-    /// [`Channel::save_state`] bytes. The scheduler's wake time and
-    /// rank-gate caches are recomputed, not restored: resetting them
-    /// only costs a redundant sweep, never changes the command stream.
-    pub fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+    fn load(&mut self, r: &mut SnapReader<'_>, _what: &'static str) -> Result<(), SnapError> {
         r.section("CHAN", 1)?;
-        let nbanks = self.banks.len();
-        let n = r.seq_len("channel banks")?;
-        if n != nbanks {
-            return Err(SnapError::Corrupt {
-                what: "channel bank count (config mismatch)",
-                at: r.pos(),
-            });
-        }
-        for b in &mut self.banks {
-            *b = BankState::load_state(r)?;
-        }
-        let n = r.seq_len("channel ranks")?;
-        if n != self.ranks.len() {
-            return Err(SnapError::Corrupt {
-                what: "channel rank count (config mismatch)",
-                at: r.pos(),
-            });
-        }
-        for rank in &mut self.ranks {
-            *rank = RankState::load_state(r)?;
-        }
+        r.get_into(&mut self.banks[..], "channel bank count (config mismatch)")?;
+        r.get_into(&mut self.ranks[..], "channel rank count (config mismatch)")?;
         self.refresh_due = earliest_refresh(&self.ranks);
-        self.bus.free_at = r.u64("bus free_at")?;
-        self.bus.last_rank = r.opt_u64("bus last_rank")?.map(|v| v as u32);
-        self.read_q = load_queue(r, self.cfg.queues.read_queue, nbanks)?;
-        self.write_q = load_queue(r, self.cfg.queues.write_queue, nbanks)?;
-        self.draining_writes = r.bool("draining_writes")?;
-        self.stats = ChannelStats {
-            reads: r.u64("stats reads")?,
-            writes: r.u64("stats writes")?,
-            activates: r.u64("stats activates")?,
-            precharges: r.u64("stats precharges")?,
-            refreshes: r.u64("stats refreshes")?,
-            row_hits: r.u64("stats row_hits")?,
-            row_misses: r.u64("stats row_misses")?,
-            total_read_latency: r.u64("stats total_read_latency")?,
-            bus_busy_cycles: r.u64("stats bus_busy_cycles")?,
-        };
-        let n = r.seq_len("channel completions")?;
-        self.completions.clear();
-        for _ in 0..n {
-            self.completions.push(Completion {
-                id: r.u64("completion id")?,
-                is_write: r.bool("completion is_write")?,
-                finish: r.u64("completion finish")?,
-                arrival: r.u64("completion arrival")?,
-            });
-        }
+        r.get_into(&mut self.bus, "channel bus")?;
+        self.read_q = self.load_queue(r, self.cfg.queues.read_queue)?;
+        self.write_q = self.load_queue(r, self.cfg.queues.write_queue)?;
+        r.get_into(&mut self.draining_writes, "draining_writes")?;
+        r.get_into(&mut self.stats, "channel stats")?;
+        r.get_into(&mut self.completions, "channel completions")?;
         self.cmd_log = None;
         self.next_wake = 0;
         self.gate_gen = 0;
@@ -766,50 +712,32 @@ impl Channel {
     }
 }
 
-fn save_queue(q: &RequestQueue, w: &mut SnapWriter) {
-    w.seq(q.live_by_seq().into_iter(), |w, req| {
-        w.u64(req.id);
-        w.u64(req.addr);
-        w.u64(u64::from(req.coords.channel));
-        w.u64(u64::from(req.coords.rank));
-        w.u64(u64::from(req.coords.bank));
-        w.u64(u64::from(req.coords.row));
-        w.u64(u64::from(req.coords.column));
-        w.bool(req.is_write);
-        w.u64(req.arrival);
-        w.bool(req.caused_row_miss);
-        w.u64(u64::from(req.bank_index));
-    });
-}
-
-fn load_queue(r: &mut SnapReader, cap: usize, nbanks: usize) -> Result<RequestQueue, SnapError> {
-    let n = r.seq_len("queue requests")?;
-    let mut q = RequestQueue::new(cap, nbanks);
-    for _ in 0..n {
-        let id = r.u64("request id")?;
-        let addr = r.u64("request addr")?;
-        let coords = DecodedAddr {
-            channel: r.u64("request channel")? as u32,
-            rank: r.u64("request rank")? as u32,
-            bank: r.u64("request bank")? as u32,
-            row: r.u64("request row")? as u32,
-            column: r.u64("request column")? as u32,
-        };
-        let is_write = r.bool("request is_write")?;
-        let arrival = r.u64("request arrival")?;
-        let caused_row_miss = r.bool("request caused_row_miss")?;
-        let bank_index = r.u64("request bank_index")? as u32;
-        let mut req = Request::new(id, addr, coords, is_write, arrival);
-        req.caused_row_miss = caused_row_miss;
-        req.bank_index = bank_index;
-        if !q.push(req) {
-            return Err(SnapError::Corrupt {
-                what: "queue request count exceeds configured capacity",
-                at: r.pos(),
-            });
+impl Channel {
+    /// Rebuild a request queue from its age-ordered snapshot. Each
+    /// request's bank index and rank must lie inside this channel: the
+    /// scheduler indexes its per-bank and per-rank tables by them.
+    fn load_queue(&self, r: &mut SnapReader<'_>, cap: usize) -> Result<RequestQueue, SnapError> {
+        let at = r.pos();
+        let requests: Vec<Request> = r.get("queue requests")?;
+        let mut q = RequestQueue::new(cap, self.banks.len());
+        for req in requests {
+            if req.bank_index as usize >= self.banks.len()
+                || req.coords.rank as usize >= self.ranks.len()
+            {
+                return Err(SnapError::Corrupt {
+                    what: "queued request bank or rank beyond the channel",
+                    at,
+                });
+            }
+            if !q.push(req) {
+                return Err(SnapError::Corrupt {
+                    what: "queue request count exceeds configured capacity",
+                    at,
+                });
+            }
         }
+        Ok(q)
     }
-    Ok(q)
 }
 
 /// Earliest refresh deadline over `ranks`.
@@ -1055,5 +983,63 @@ mod tests {
             ch.tick(now);
         }
         assert!(ch.stats().refreshes >= 16);
+    }
+
+    /// A queued request record: id, addr, five coordinates (u64
+    /// each), is_write, arrival, caused_row_miss, bank_index.
+    const REQUEST: usize = 8 * 7 + 1 + 8 + 1 + 8;
+    const RANK_AT: usize = 8 * 3;
+    const BANK_INDEX_AT: usize = REQUEST - 8;
+    /// Bytes after a sole queued read: the empty write queue (8), the
+    /// drain flag (1), nine stats (72), and no completions (8).
+    const AFTER_REQUEST: usize = 8 + 1 + 72 + 8;
+
+    /// A snapshot of a channel holding one queued read, with the u64
+    /// at byte `at` of that read's record replaced by `value`.
+    fn snapshot_with_request_field(at: usize, value: u64) -> Vec<u8> {
+        let (mut ch, dec) = setup();
+        assert!(ch.enqueue(req(&dec, 1, 3 * BLOCK_BYTES, false, 0)));
+        let mut w = SnapWriter::new();
+        w.put(&ch);
+        let mut bytes = w.into_bytes();
+        let at = bytes.len() - AFTER_REQUEST - REQUEST + at;
+        bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        bytes
+    }
+
+    fn restore(bytes: &[u8]) -> Result<Channel, SnapError> {
+        let mut ch = Channel::new(DramConfig::table_iii());
+        let mut r = SnapReader::new(bytes);
+        r.get_into(&mut ch, "channel")?;
+        r.finish()?;
+        Ok(ch)
+    }
+
+    #[test]
+    fn snapshot_round_trips_a_queued_request() {
+        let (ch, _) = setup();
+        let last = ch.banks.len() as u64 - 1;
+        let restored = restore(&snapshot_with_request_field(BANK_INDEX_AT, last)).unwrap();
+        assert_eq!(u64::from(restored.read_q.live_by_seq()[0].bank_index), last);
+    }
+
+    #[test]
+    fn snapshot_with_an_out_of_range_bank_index_is_a_typed_error() {
+        let (ch, _) = setup();
+        let (nbanks, nranks) = (ch.banks.len() as u64, ch.ranks.len() as u64);
+        // Past the channel's banks or ranks, and past what a u32 holds.
+        for (at, value) in [
+            (BANK_INDEX_AT, nbanks),
+            (BANK_INDEX_AT, u64::from(u32::MAX)),
+            (BANK_INDEX_AT, u64::MAX),
+            (RANK_AT, nranks),
+            (RANK_AT, u64::MAX),
+        ] {
+            let err = restore(&snapshot_with_request_field(at, value)).unwrap_err();
+            assert!(
+                matches!(err, SnapError::Corrupt { .. }),
+                "field at {at} = {value}: {err:?}"
+            );
+        }
     }
 }

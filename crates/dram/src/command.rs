@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::address::DecodedAddr;
+use itesp_snap::persist;
 
 /// Unique identifier the caller uses to match completions to requests.
 pub type RequestId = u64;
@@ -18,7 +19,7 @@ pub enum Command {
 }
 
 /// A memory request waiting in a controller queue.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Request {
     pub id: RequestId,
     /// Physical byte address of the block.
@@ -56,6 +57,18 @@ impl Request {
     }
 }
 
+// Queued requests snapshot in age order; coordinates and the flat bank
+// index are stored as u64.
+persist!(Request {
+    id,
+    addr,
+    coords,
+    is_write,
+    arrival,
+    caused_row_miss,
+    bank_index as u64,
+});
+
 /// One command issued on the command bus, as recorded by the optional
 /// per-channel command log (used by the scheduler-equivalence tests and
 /// available for debugging).
@@ -74,7 +87,7 @@ pub struct IssuedCommand {
 }
 
 /// A finished request: data fully transferred on the bus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Completion {
     pub id: RequestId,
     pub is_write: bool,
@@ -90,6 +103,13 @@ impl Completion {
         self.finish - self.arrival
     }
 }
+
+persist!(Completion {
+    id,
+    is_write,
+    finish,
+    arrival,
+});
 
 /// Aggregate event counts for one channel, consumed by the power model
 /// and the figure regenerators.
@@ -143,6 +163,18 @@ impl ChannelStats {
         self.bus_busy_cycles += other.bus_busy_cycles;
     }
 }
+
+persist!(ChannelStats {
+    reads,
+    writes,
+    activates,
+    precharges,
+    refreshes,
+    row_hits,
+    row_misses,
+    total_read_latency,
+    bus_busy_cycles,
+});
 
 #[cfg(test)]
 mod tests {

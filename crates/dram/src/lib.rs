@@ -225,37 +225,15 @@ impl MemorySystem {
     pub fn energy(&self, cycles: u64) -> EnergyBreakdown {
         energy_for_run(&self.cfg, &self.stats(), cycles)
     }
-
-    /// Serialize the whole memory system for a crash-recovery snapshot.
-    pub fn save_state(&self, w: &mut itesp_snap::SnapWriter) {
-        w.section("DMEM", 1);
-        w.u64(self.next_id);
-        w.u64(self.in_flight);
-        w.seq(self.channels.iter(), |w, ch| ch.save_state(w));
-    }
-
-    /// Restore a freshly constructed system (same config) from
-    /// [`MemorySystem::save_state`] bytes.
-    pub fn load_state(
-        &mut self,
-        r: &mut itesp_snap::SnapReader,
-    ) -> Result<(), itesp_snap::SnapError> {
-        r.section("DMEM", 1)?;
-        self.next_id = r.u64("memory next_id")?;
-        self.in_flight = r.u64("memory in_flight")?;
-        let n = r.seq_len("memory channels")?;
-        if n != self.channels.len() {
-            return Err(itesp_snap::SnapError::Corrupt {
-                what: "memory channel count (config mismatch)",
-                at: r.pos(),
-            });
-        }
-        for ch in &mut self.channels {
-            ch.load_state(r)?;
-        }
-        Ok(())
-    }
 }
+
+// The whole memory system for a crash-recovery snapshot; loading
+// restores a freshly constructed system (same config).
+itesp_snap::persist!(MemorySystem, "DMEM", 1 {
+    next_id,
+    in_flight,
+    [channels],
+});
 
 #[cfg(test)]
 mod tests {

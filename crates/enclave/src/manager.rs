@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use itesp_core::{MacKey, MetaAccess, SecurityEngine};
-use itesp_snap::{SnapError, SnapReader, SnapWriter};
+use itesp_snap::{persist, Persist, SnapError, SnapReader, SnapWriter};
 
 use crate::alloc::{LeafAllocator, LeafGrant};
 
@@ -20,11 +20,11 @@ pub const PAGE_BLOCKS: u64 = 64;
 
 /// Globally unique enclave identity; monotone across a manager's
 /// lifetime, never reused even when slots are.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EnclaveId(pub u64);
 
 /// Where one of an enclave's virtual pages lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PageInfo {
     /// Dense leaf-id inside the enclave's private tree.
     pub leaf: u64,
@@ -34,7 +34,7 @@ pub struct PageInfo {
 
 /// One live enclave: identity, key, page table, per-leaf write
 /// counters, and the leaf-id namespace.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Enclave {
     id: EnclaveId,
     key: MacKey,
@@ -89,60 +89,40 @@ impl Enclave {
         self.pages.iter().map(|(&vpage, &info)| (vpage, info))
     }
 
-    /// Serialize one enclave's mutable state. The MAC key is *not*
-    /// serialized: it re-derives from the manager's master key and the
-    /// enclave id, so snapshot bytes never carry key material.
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.section("ENCL", 1);
-        w.u64(self.id.0);
-        w.u64(self.footprint_pages);
-        w.u64(self.tree_pages);
-        w.seq(self.pages.iter(), |w, (&vpage, info)| {
-            w.u64(vpage);
-            w.u64(info.leaf);
-            w.u64(info.ppage);
-        });
-        w.seq(self.counters.iter(), |w, (&leaf, &c)| {
-            w.u64(leaf);
-            w.u64(c);
-        });
-        self.allocator.save_state(w);
+    /// A decoded enclave's tree must be the leaf namespace its
+    /// allocator hands out (both only ever double together), and
+    /// addressable in blocks.
+    fn check_tree(&self) -> Result<(), &'static str> {
+        let addressable = self.tree_pages.checked_mul(PAGE_BLOCKS).is_some();
+        if self.tree_pages > 0 && addressable && self.allocator.capacity() == self.tree_pages {
+            Ok(())
+        } else {
+            Err("enclave tree size (does not match its leaf namespace)")
+        }
     }
 
-    /// Rebuild from [`Self::save_state`] bytes, re-deriving the key
-    /// from `master`.
-    fn load_state(r: &mut SnapReader, master: u64) -> Result<Self, SnapError> {
-        r.section("ENCL", 1)?;
-        let id = EnclaveId(r.u64("enclave id")?);
-        let footprint_pages = r.u64("enclave footprint")?;
-        let tree_pages = r.u64("enclave tree pages")?;
-        let npages = r.seq_len("enclave page map")?;
-        let mut pages = BTreeMap::new();
-        for _ in 0..npages {
-            let vpage = r.u64("vpage")?;
-            let leaf = r.u64("page leaf")?;
-            let ppage = r.u64("page frame")?;
-            pages.insert(vpage, PageInfo { leaf, ppage });
-        }
-        let ncounters = r.seq_len("enclave counters")?;
-        let mut counters = BTreeMap::new();
-        for _ in 0..ncounters {
-            let leaf = r.u64("counter leaf")?;
-            let c = r.u64("counter value")?;
-            counters.insert(leaf, c);
-        }
-        let allocator = LeafAllocator::load_state(r)?;
-        Ok(Enclave {
-            id,
-            key: MacKey::derive(master, id.0),
-            footprint_pages,
-            tree_pages,
-            pages,
-            counters,
-            allocator,
-        })
+    /// Re-derive the MAC key after a snapshot decode: keys are never
+    /// serialized, only the id they derive from.
+    fn rekey(&mut self, master: u64) {
+        self.key = MacKey::derive(master, self.id.0);
     }
 }
+
+// One enclave's mutable state. The MAC key is *not* serialized: it
+// re-derives from the manager's master key and the enclave id, so
+// snapshot bytes never carry key material.
+persist!(Enclave, "ENCL", 1 {
+    id,
+    footprint_pages,
+    tree_pages,
+    pages,
+    counters,
+    allocator,
+} check Enclave::check_tree);
+
+persist!(EnclaveId { 0 });
+
+persist!(PageInfo { leaf, ppage });
 
 /// Lifecycle event counts, accumulated across the manager's lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -157,6 +137,15 @@ pub struct LifecycleStats {
     /// High-water mark of live pages across all slots.
     pub peak_live_pages: u64,
 }
+
+persist!(LifecycleStats {
+    created,
+    destroyed,
+    grows,
+    pages_freed,
+    leaves_recycled,
+    peak_live_pages,
+});
 
 /// The lifecycle manager: one slot per hardware context, each serving
 /// a sequence of enclaves.
@@ -411,7 +400,7 @@ impl EnclaveManager {
     /// flight.
     pub fn export_enclave(&self, slot: usize, w: &mut SnapWriter) -> Option<EnclaveId> {
         let enc = self.slots[slot].as_ref()?;
-        enc.save_state(w);
+        w.put(enc);
         Some(enc.id())
     }
 
@@ -439,12 +428,13 @@ impl EnclaveManager {
             self.slots[slot].is_none(),
             "slot {slot} already holds a live enclave"
         );
-        let mut enc = Enclave::load_state(r, self.master)?;
+        let mut enc: Enclave = r.get("migrated enclave")?;
+        enc.rekey(self.master);
         for info in enc.pages.values_mut() {
             info.ppage = remap_frame(info.ppage);
         }
         let id = enc.id();
-        self.next_id = self.next_id.max(id.0 + 1);
+        self.next_id = self.next_id.max(id.0.saturating_add(1));
         let part = Self::part(engine, slot);
         let mut traffic = engine.install_tree(part, enc.tree_pages * PAGE_BLOCKS);
         self.slots[slot] = Some(enc);
@@ -453,60 +443,45 @@ impl EnclaveManager {
         Ok((id, traffic))
     }
 
-    /// Serialize the full lifecycle state: every slot's enclave, the
-    /// id watermark, and the accumulated stats. The master key *is*
-    /// serialized (it's simulation seed material, not a secret) so a
-    /// recovered manager derives identical per-enclave keys.
+    /// Serialize the full lifecycle state (the manager's [`Persist`]
+    /// impl): every slot's enclave, the id watermark, and the
+    /// accumulated stats. The master key *is* serialized (it's
+    /// simulation seed material, not a secret) so a recovered manager
+    /// derives identical per-enclave keys.
     pub fn save_state(&self, w: &mut SnapWriter) {
-        w.section("EMGR", 1);
-        w.u64(self.master);
-        w.u64(self.next_id);
-        w.bool(self.rebuild_parity);
-        w.seq(self.slots.iter(), |w, slot| {
-            w.bool(slot.is_some());
-            if let Some(enc) = slot {
-                enc.save_state(w);
-            }
-        });
-        let s = &self.stats;
-        w.u64(s.created);
-        w.u64(s.destroyed);
-        w.u64(s.grows);
-        w.u64(s.pages_freed);
-        w.u64(s.leaves_recycled);
-        w.u64(s.peak_live_pages);
+        w.put(self);
     }
 
     /// Restore from [`Self::save_state`] bytes. `self` must have been
     /// built with the same slot count as the snapshotted manager.
     pub fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+        r.get_into(self, "enclave manager")
+    }
+}
+
+impl Persist for EnclaveManager {
+    fn save(&self, w: &mut SnapWriter) {
+        w.section("EMGR", 1);
+        w.put(&self.master);
+        w.put(&self.next_id);
+        w.put(&self.rebuild_parity);
+        w.put(&self.slots);
+        w.put(&self.stats);
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>, _what: &'static str) -> Result<(), SnapError> {
         r.section("EMGR", 1)?;
-        self.master = r.u64("manager master key")?;
-        self.next_id = r.u64("manager next id")?;
-        self.rebuild_parity = r.bool("manager rebuild_parity")?;
-        let nslots = r.seq_len("manager slots")?;
-        if nslots != self.slots.len() {
-            return Err(SnapError::Corrupt {
-                what: "manager slot count (snapshot from a different configuration)",
-                at: r.pos(),
-            });
+        r.get_into(&mut self.master, "manager master key")?;
+        r.get_into(&mut self.next_id, "manager next id")?;
+        r.get_into(&mut self.rebuild_parity, "manager rebuild_parity")?;
+        r.get_into(
+            &mut self.slots[..],
+            "manager slot count (snapshot from a different configuration)",
+        )?;
+        for enc in self.slots.iter_mut().flatten() {
+            enc.rekey(self.master);
         }
-        for slot in &mut self.slots {
-            *slot = if r.bool("slot occupancy")? {
-                Some(Enclave::load_state(r, self.master)?)
-            } else {
-                None
-            };
-        }
-        self.stats = LifecycleStats {
-            created: r.u64("stats created")?,
-            destroyed: r.u64("stats destroyed")?,
-            grows: r.u64("stats grows")?,
-            pages_freed: r.u64("stats pages_freed")?,
-            leaves_recycled: r.u64("stats leaves_recycled")?,
-            peak_live_pages: r.u64("stats peak_live_pages")?,
-        };
-        Ok(())
+        r.get_into(&mut self.stats, "lifecycle stats")
     }
 }
 

@@ -31,7 +31,9 @@ use std::path::Path;
 use itesp_core::Scheme;
 use itesp_enclave::PAGE_BLOCKS;
 use itesp_sim::SnapshotSink;
-use itesp_snap::{SnapError, SnapReader, SnapWriter, SnapshotMeta, StoreError};
+use itesp_snap::{
+    persist, persist_enum, SnapError, SnapReader, SnapWriter, SnapshotMeta, StoreError,
+};
 use itesp_trace::record::page_of;
 use itesp_trace::{MemOp, PAGE_BYTES};
 
@@ -97,8 +99,15 @@ pub struct ClusterStats {
     pub drains_completed: u64,
 }
 
+persist!(ClusterStats {
+    migrations_started,
+    migrations_committed,
+    migrations_skipped,
+    drains_completed,
+});
+
 /// One in-flight migration.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Transfer {
     pub tenant: u64,
     pub from: usize,
@@ -107,6 +116,14 @@ pub struct Transfer {
     /// Frames already on the wire.
     pub sent: usize,
 }
+
+persist!(Transfer {
+    tenant,
+    from,
+    to,
+    sent,
+    blob,
+});
 
 #[derive(Debug, Clone, PartialEq)]
 enum Phase {
@@ -119,7 +136,9 @@ enum Phase {
         from: usize,
         to: usize,
     },
-    Done(TenantFinal),
+    Done {
+        fin: TenantFinal,
+    },
 }
 
 #[derive(Debug)]
@@ -127,6 +146,15 @@ struct TenantRuntime {
     phase: Phase,
     ledger: TenantLedger,
 }
+
+persist!(TenantRuntime { phase, ledger });
+
+persist_enum!(Phase {
+    0 => Queued {},
+    1 => Live { node },
+    2 => Migrating { from, to },
+    3 => Done { fin },
+});
 
 /// The multi-node simulated cluster.
 #[derive(Debug)]
@@ -152,6 +180,19 @@ pub struct Cluster {
     /// the epoch-bump check compares against (`latest_seq`).
     last_seq: Option<u64>,
 }
+
+// The node and tenant lists are fixed by the topology and workload.
+persist!(Cluster, "CLUS", 1 {
+    tick,
+    next_admit,
+    planned_done,
+    drains_done,
+    stats,
+    dir,
+    [nodes],
+    [tenants],
+    inflight,
+});
 
 impl Cluster {
     pub fn new(cfg: ClusterConfig, workload: ClusterWorkload) -> Self {
@@ -257,7 +298,7 @@ impl Cluster {
             && self
                 .tenants
                 .iter()
-                .all(|t| matches!(t.phase, Phase::Done(_)))
+                .all(|t| matches!(t.phase, Phase::Done { .. }))
     }
 
     /// Per-tenant live-page load, one entry per node (retired nodes
@@ -275,7 +316,7 @@ impl Cluster {
             .iter()
             .enumerate()
             .filter_map(|(t, rt)| match &rt.phase {
-                Phase::Done(f) => Some((t as u64, f)),
+                Phase::Done { fin } => Some((t as u64, fin)),
                 _ => None,
             })
             .collect();
@@ -363,7 +404,7 @@ impl Cluster {
         let tenant = header.tenant;
         // Checks passed: decode and install.
         let mut r = SnapReader::new(blob);
-        proto::read_header(&mut r)?;
+        r.get::<BlobHeader>("blob header")?;
         let (id, ledger) = self.nodes[node].import(slot, &mut r)?;
         r.finish()?;
         assert_eq!(id.0, tenant, "blob body names a different tenant");
@@ -408,7 +449,7 @@ impl Cluster {
                 self.tick,
                 self.tenants
                     .iter()
-                    .filter(|t| !matches!(t.phase, Phase::Done(_)))
+                    .filter(|t| !matches!(t.phase, Phase::Done { .. }))
                     .count(),
                 self.inflight.len()
             );
@@ -786,7 +827,7 @@ impl Cluster {
         };
         self.nodes[node].destroy(slot);
         self.dir.finish(tenant as u64);
-        self.tenants[tenant].phase = Phase::Done(fin);
+        self.tenants[tenant].phase = Phase::Done { fin };
     }
 
     /// Verify the headline safety property: every tenant's enclave is
@@ -806,7 +847,7 @@ impl Cluster {
                 .map(Node::id)
                 .collect();
             let expect: Vec<usize> = match rt.phase {
-                Phase::Queued | Phase::Done(_) => vec![],
+                Phase::Queued | Phase::Done { .. } => vec![],
                 Phase::Live { node } => vec![node],
                 Phase::Migrating { from, .. } => vec![from],
             };
@@ -838,47 +879,7 @@ impl Cluster {
     /// Serialize the full cluster (minus the workload and schedules,
     /// which are inputs the recoverer re-supplies).
     pub fn save_state(&self, w: &mut SnapWriter) {
-        w.section("CLUS", 1);
-        w.u64(self.tick);
-        w.usize(self.next_admit);
-        w.usize(self.planned_done);
-        w.usize(self.drains_done);
-        for v in [
-            self.stats.migrations_started,
-            self.stats.migrations_committed,
-            self.stats.migrations_skipped,
-            self.stats.drains_completed,
-        ] {
-            w.u64(v);
-        }
-        self.dir.save_state(w);
-        w.seq(self.nodes.iter(), |w, n| n.save_state(w));
-        w.seq(self.tenants.iter(), |w, rt| {
-            match &rt.phase {
-                Phase::Queued => w.u8(0),
-                Phase::Live { node } => {
-                    w.u8(1);
-                    w.usize(*node);
-                }
-                Phase::Migrating { from, to } => {
-                    w.u8(2);
-                    w.usize(*from);
-                    w.usize(*to);
-                }
-                Phase::Done(f) => {
-                    w.u8(3);
-                    f.save_state(w);
-                }
-            }
-            rt.ledger.save_state(w);
-        });
-        w.seq(self.inflight.iter(), |w, t| {
-            w.u64(t.tenant);
-            w.usize(t.from);
-            w.usize(t.to);
-            w.usize(t.sent);
-            w.bytes(&t.blob);
-        });
+        w.put(self);
     }
 
     /// Restore into a freshly built cluster (same config + workload;
@@ -887,70 +888,7 @@ impl Cluster {
     /// # Errors
     /// [`SnapError`] on decode failure or config mismatch.
     pub fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        r.section("CLUS", 1)?;
-        self.tick = r.u64("cluster tick")?;
-        self.next_admit = r.usize("cluster next admit")?;
-        self.planned_done = r.usize("cluster planned done")?;
-        self.drains_done = r.usize("cluster drains done")?;
-        self.stats.migrations_started = r.u64("migrations started")?;
-        self.stats.migrations_committed = r.u64("migrations committed")?;
-        self.stats.migrations_skipped = r.u64("migrations skipped")?;
-        self.stats.drains_completed = r.u64("drains completed")?;
-        self.dir = Directory::load_state(r)?;
-        let n = r.seq_len("cluster nodes")?;
-        if n != self.nodes.len() {
-            return Err(SnapError::Corrupt {
-                what: "cluster node count (snapshot from a different topology)",
-                at: r.pos(),
-            });
-        }
-        for node in &mut self.nodes {
-            node.load_state(r)?;
-        }
-        let t = r.seq_len("cluster tenants")?;
-        if t != self.tenants.len() {
-            return Err(SnapError::Corrupt {
-                what: "cluster tenant count (snapshot from a different workload)",
-                at: r.pos(),
-            });
-        }
-        for rt in &mut self.tenants {
-            rt.phase = match r.u8("tenant phase tag")? {
-                0 => Phase::Queued,
-                1 => Phase::Live {
-                    node: r.usize("tenant node")?,
-                },
-                2 => Phase::Migrating {
-                    from: r.usize("tenant from")?,
-                    to: r.usize("tenant to")?,
-                },
-                3 => Phase::Done(TenantFinal::load_state(r)?),
-                _ => {
-                    return Err(SnapError::Corrupt {
-                        what: "tenant phase tag",
-                        at: r.pos(),
-                    })
-                }
-            };
-            rt.ledger = TenantLedger::load_state(r)?;
-        }
-        let n = r.seq_len("cluster transfers")?;
-        self.inflight.clear();
-        for _ in 0..n {
-            let tenant = r.u64("transfer tenant")?;
-            let from = r.usize("transfer from")?;
-            let to = r.usize("transfer to")?;
-            let sent = r.usize("transfer sent")?;
-            let blob = r.bytes("transfer blob")?.to_vec();
-            self.inflight.push(Transfer {
-                tenant,
-                from,
-                to,
-                blob,
-                sent,
-            });
-        }
-        Ok(())
+        r.get_into(self, "cluster")
     }
 
     /// Rebuild a cluster from its durable snapshots: construct the

@@ -13,7 +13,7 @@ use std::collections::BTreeSet;
 
 use itesp_core::mac::siphash24_words;
 use itesp_core::MacKey;
-use itesp_snap::{SnapError, SnapReader, SnapWriter};
+use itesp_snap::persist;
 
 /// xorshift64: the tenant fault stream's step function. Never maps a
 /// nonzero state to zero.
@@ -90,57 +90,6 @@ impl TenantLedger {
             ..TenantLedger::default()
         }
     }
-
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.section("TLGR", 1);
-        for v in [
-            self.ops,
-            self.reads,
-            self.writes,
-            self.pages_touched,
-            self.pages_freed,
-            self.grow_events,
-            self.grow_meta,
-            self.free_meta,
-            self.leaves_recycled,
-            self.faults_injected,
-            self.fault_parity_hits,
-            self.rng,
-            self.next_record,
-            self.frees_done,
-        ] {
-            w.u64(v);
-        }
-        w.seq(self.freed_leaves.iter(), |w, &leaf| w.u64(leaf));
-    }
-
-    pub fn load_state(r: &mut SnapReader) -> Result<Self, SnapError> {
-        r.section("TLGR", 1)?;
-        let mut l = TenantLedger::default();
-        for v in [
-            &mut l.ops,
-            &mut l.reads,
-            &mut l.writes,
-            &mut l.pages_touched,
-            &mut l.pages_freed,
-            &mut l.grow_events,
-            &mut l.grow_meta,
-            &mut l.free_meta,
-            &mut l.leaves_recycled,
-            &mut l.faults_injected,
-            &mut l.fault_parity_hits,
-            &mut l.rng,
-            &mut l.next_record,
-            &mut l.frees_done,
-        ] {
-            *v = r.u64("ledger counter")?;
-        }
-        let n = r.seq_len("ledger freed leaves")?;
-        for _ in 0..n {
-            l.freed_leaves.insert(r.u64("freed leaf")?);
-        }
-        Ok(l)
-    }
 }
 
 /// What a tenant leaves behind when its script completes: the ledger
@@ -148,7 +97,7 @@ impl TenantLedger {
 /// byte-identity artifact — every field must be placement- and
 /// timing-independent (no engine cache stats, no migration counts, no
 /// physical addresses).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct TenantFinal {
     pub ops: u64,
     pub reads: u64,
@@ -172,59 +121,46 @@ pub struct TenantFinal {
     pub counter_checksum: u64,
 }
 
-impl TenantFinal {
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.section("TFIN", 1);
-        for v in [
-            self.ops,
-            self.reads,
-            self.writes,
-            self.pages_touched,
-            self.pages_freed,
-            self.grow_events,
-            self.grow_meta,
-            self.free_meta,
-            self.leaves_recycled,
-            self.faults_injected,
-            self.fault_parity_hits,
-            self.tree_pages,
-            self.leaf_high_water,
-            self.live_pages_at_exit,
-            self.counter_checksum,
-        ] {
-            w.u64(v);
-        }
-    }
+persist!(TenantLedger, "TLGR", 1 {
+    ops,
+    reads,
+    writes,
+    pages_touched,
+    pages_freed,
+    grow_events,
+    grow_meta,
+    free_meta,
+    leaves_recycled,
+    faults_injected,
+    fault_parity_hits,
+    rng,
+    next_record,
+    frees_done,
+    freed_leaves,
+});
 
-    pub fn load_state(r: &mut SnapReader) -> Result<Self, SnapError> {
-        r.section("TFIN", 1)?;
-        let mut f = [0u64; 15];
-        for v in &mut f {
-            *v = r.u64("tenant final field")?;
-        }
-        Ok(TenantFinal {
-            ops: f[0],
-            reads: f[1],
-            writes: f[2],
-            pages_touched: f[3],
-            pages_freed: f[4],
-            grow_events: f[5],
-            grow_meta: f[6],
-            free_meta: f[7],
-            leaves_recycled: f[8],
-            faults_injected: f[9],
-            fault_parity_hits: f[10],
-            tree_pages: f[11],
-            leaf_high_water: f[12],
-            live_pages_at_exit: f[13],
-            counter_checksum: f[14],
-        })
-    }
-}
+persist!(TenantFinal, "TFIN", 1 {
+    ops,
+    reads,
+    writes,
+    pages_touched,
+    pages_freed,
+    grow_events,
+    grow_meta,
+    free_meta,
+    leaves_recycled,
+    faults_injected,
+    fault_parity_hits,
+    tree_pages,
+    leaf_high_water,
+    live_pages_at_exit,
+    counter_checksum,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use itesp_snap::{SnapReader, SnapWriter};
 
     #[test]
     fn ledger_round_trips_through_the_codec() {
@@ -236,10 +172,10 @@ mod tests {
         l.next_record = 100;
         l.freed_leaves.extend([3, 9, 11]);
         let mut w = SnapWriter::new();
-        l.save_state(&mut w);
+        w.put(&l);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        let back = TenantLedger::load_state(&mut r).unwrap();
+        let back: TenantLedger = r.get("ledger").unwrap();
         r.finish().unwrap();
         assert_eq!(back, l);
     }

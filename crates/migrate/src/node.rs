@@ -3,7 +3,7 @@
 
 use itesp_core::{EngineConfig, MetaAccess, SecurityEngine};
 use itesp_enclave::{EnclaveId, EnclaveManager};
-use itesp_snap::{SnapError, SnapReader, SnapWriter};
+use itesp_snap::{persist, Persist, SnapError, SnapReader, SnapWriter};
 
 use crate::cluster::ClusterConfig;
 use crate::ledger::TenantLedger;
@@ -20,6 +20,13 @@ pub struct NodeStats {
     /// Frame bytes shipped out of this node (framing included).
     pub transfer_bytes: u64,
 }
+
+persist!(NodeStats {
+    admissions,
+    migrations_in,
+    migrations_out,
+    transfer_bytes,
+});
 
 /// The engine configuration every node of a cluster runs. Derived
 /// from the single-tenant serving config and scaled so the *per
@@ -197,53 +204,40 @@ impl Node {
             *next += 1;
             f
         })?;
-        let ledger = TenantLedger::load_state(r)?;
+        let ledger: TenantLedger = r.get("tenant ledger")?;
         self.stats.migrations_in += 1;
         Ok((id, ledger))
     }
+}
 
-    pub fn save_state(&self, w: &mut SnapWriter) {
+/// A node's full state; loading goes into a freshly built node (same
+/// cluster config), and the engine checks its config fingerprint.
+impl Persist for Node {
+    fn save(&self, w: &mut SnapWriter) {
         w.section("NODE", 1);
-        w.usize(self.id);
-        self.engine.save_state(w);
-        self.mgr.save_state(w);
-        w.u64(self.next_frame);
-        w.bool(self.draining);
-        w.bool(self.retired);
-        for v in [
-            self.stats.admissions,
-            self.stats.migrations_in,
-            self.stats.migrations_out,
-            self.stats.transfer_bytes,
-        ] {
-            w.u64(v);
-        }
+        w.put(&self.id);
+        w.put(&self.engine);
+        w.put(&self.mgr);
+        w.put(&self.next_frame);
+        w.put(&self.draining);
+        w.put(&self.retired);
+        w.put(&self.stats);
     }
 
-    /// Restore a freshly built node (same cluster config) in place.
-    ///
-    /// # Errors
-    /// [`SnapError`] on decode failure, including the engine's config
-    /// fingerprint check.
-    pub fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+    fn load(&mut self, r: &mut SnapReader<'_>, _what: &'static str) -> Result<(), SnapError> {
         r.section("NODE", 1)?;
-        let id = r.usize("node id")?;
-        if id != self.id {
+        if r.get::<usize>("node id")? != self.id {
             return Err(SnapError::Corrupt {
                 what: "node id (snapshot from a different node)",
                 at: r.pos(),
             });
         }
-        self.engine.load_state(r)?;
-        self.mgr.load_state(r)?;
-        self.next_frame = r.u64("node next frame")?;
-        self.draining = r.bool("node draining")?;
-        self.retired = r.bool("node retired")?;
-        self.stats.admissions = r.u64("node admissions")?;
-        self.stats.migrations_in = r.u64("node migrations in")?;
-        self.stats.migrations_out = r.u64("node migrations out")?;
-        self.stats.transfer_bytes = r.u64("node transfer bytes")?;
-        Ok(())
+        r.get_into(&mut self.engine, "node engine")?;
+        r.get_into(&mut self.mgr, "node enclave manager")?;
+        r.get_into(&mut self.next_frame, "node next frame")?;
+        r.get_into(&mut self.draining, "node draining")?;
+        r.get_into(&mut self.retired, "node retired")?;
+        r.get_into(&mut self.stats, "node stats")
     }
 }
 

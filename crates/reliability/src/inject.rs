@@ -97,6 +97,20 @@ pub enum Fault {
     Chip { chip: u8 },
 }
 
+/// The value a snapshot decode overwrites (a whole-chip fault on chip
+/// 0); not a meaningful fault on its own.
+impl Default for Fault {
+    fn default() -> Self {
+        Fault::Chip { chip: 0 }
+    }
+}
+
+itesp_snap::persist_enum!(Fault {
+    0 => Bit { chip, beat, pin },
+    1 => Pin { chip, pin },
+    2 => Chip { chip },
+});
+
 impl Fault {
     /// The chip this fault lives on.
     pub fn chip(&self) -> usize {

@@ -28,7 +28,7 @@ pub struct TenantRequest {
 /// The deterministic per-tenant result. Every field is a pure function
 /// of the request bytes; operational counters (rejects, retries) live
 /// in the registry's separate, explicitly non-deterministic section.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct TenantStats {
     pub tenant: u64,
     pub request_seq: u64,
@@ -54,6 +54,28 @@ pub struct TenantStats {
     pub ras_sdc_events: u64,
     pub ras_due_events: u64,
 }
+
+// The registry snapshot record.
+itesp_snap::persist!(TenantStats {
+    tenant,
+    request_seq,
+    scheme,
+    benchmark,
+    records,
+    cycles,
+    baseline_cycles,
+    slowdown,
+    meta_per_access,
+    metadata_cache_accesses,
+    metadata_cache_hits,
+    parity_cache_accesses,
+    parity_cache_hits,
+    ras_faults_injected,
+    ras_detections,
+    ras_corrections,
+    ras_sdc_events,
+    ras_due_events,
+});
 
 /// Run one tenant request to completion on this shard.
 ///

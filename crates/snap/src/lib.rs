@@ -7,9 +7,12 @@
 //!
 //! * [`wire`] — [`SnapWriter`]/[`SnapReader`]: length-checked,
 //!   section-tagged binary encoding with typed errors. No floats are
-//!   approximated (f64 round-trips through its bit pattern), maps are
-//!   written in sorted key order so identical state produces identical
-//!   bytes.
+//!   approximated (f64 round-trips through its bit pattern).
+//! * [`persist`] — the [`Persist`] trait every snapshot type implements
+//!   once for both directions, with impls for the primitives and std
+//!   containers (hash maps and sets written in sorted key order, so
+//!   identical state produces identical bytes) and the
+//!   [`persist!`]/[`persist_enum!`] macros for field-list types.
 //! * [`crc`] — the CRC-32 (IEEE) integrity check framing every
 //!   snapshot file.
 //! * [`store`] — [`SnapshotStore`]: atomic temp+rename snapshot files
@@ -19,15 +22,19 @@
 //!   presenting a stale snapshot as the latest state is detected, so
 //!   no counter can rewind and no freed leaf-id can come back live
 //!   without the deterministic suffix replay that re-derives them.
+//!   [`write_atomic`] is the one durable file write (temp + fsync +
+//!   rename + directory fsync) the workspace uses.
 //!
 //! This crate deliberately has **zero dependencies** so the DRAM model
 //! (the workspace's bottom crate) and the oracle harness can both use
 //! it without cycles.
 
 pub mod crc;
+pub mod persist;
 pub mod store;
 pub mod wire;
 
 pub use crc::crc32;
-pub use store::{SnapshotMeta, SnapshotStore, StoreError, WalRecord};
+pub use persist::{get_wide, put_wide, Persist, Widen};
+pub use store::{write_atomic, SnapshotMeta, SnapshotStore, StoreError, WalRecord};
 pub use wire::{SnapError, SnapReader, SnapWriter};

@@ -179,17 +179,7 @@ impl SnapshotStore {
         let crc = crc32(&framed);
         framed.extend_from_slice(&crc.to_le_bytes());
 
-        let final_path = self.snap_path(seq);
-        let tmp_path = self
-            .dir
-            .join(format!("snap-{seq:016}.tmp.{}", std::process::id()));
-        {
-            let mut f = File::create(&tmp_path)?;
-            f.write_all(&framed)?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp_path, &final_path)?;
-        sync_dir(&self.dir)?;
+        write_atomic(&self.snap_path(seq), &framed)?;
 
         // Only after the snapshot is durable does the WAL acknowledge
         // it; a crash between rename and append leaves an orphan file
@@ -415,14 +405,7 @@ impl SnapshotStore {
             raw.extend_from_slice(&crc.to_le_bytes());
             body.extend_from_slice(&raw);
         }
-        let tmp = self.dir.join(format!("wal.tmp.{}", std::process::id()));
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&body)?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, self.wal_path())?;
-        sync_dir(&self.dir)?;
+        write_atomic(&self.wal_path(), &body)?;
         Ok(())
     }
 }
@@ -439,6 +422,30 @@ fn parse_wal_record(rec: &[u8]) -> Option<WalRecord> {
         seq: u64::from_le_bytes(rec[4..12].try_into().unwrap()),
         cycle: u64::from_le_bytes(rec[12..20].try_into().unwrap()),
     })
+}
+
+/// Durably replace `path` with `bytes`: write a temp file beside it
+/// (`path` with extension `tmp.<pid>`), fsync it, rename it over
+/// `path`, then fsync the parent directory. The rename alone orders the
+/// data against the name, but the new directory entry is not durable
+/// until the directory itself reaches disk — a power cut after
+/// rename-without-dir-fsync can resurface the old file (or nothing).
+/// A crash at any point leaves either the old or the new file.
+///
+/// # Errors
+/// The first failing I/O step.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+    {
+        let mut f = File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+    }
+    fs::rename(&tmp, path)?;
+    match path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        Some(dir) => sync_dir(dir),
+        None => sync_dir(Path::new(".")),
+    }
 }
 
 /// fsync a directory so a rename inside it is durable. On platforms
@@ -460,6 +467,21 @@ mod tests {
             std::env::temp_dir().join(format!("itesp-snap-test-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         SnapshotStore::open(dir).unwrap()
+    }
+
+    #[test]
+    fn write_atomic_replaces_the_file_and_leaves_no_temp() {
+        let store = temp_store("atomic");
+        let path = store.dir().join("ckpt.jsonl");
+        write_atomic(&path, b"old").unwrap();
+        write_atomic(&path, b"new").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"new");
+        let names: Vec<_> = fs::read_dir(store.dir())
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, vec![std::ffi::OsString::from("ckpt.jsonl")]);
+        let _ = fs::remove_dir_all(store.dir());
     }
 
     #[test]

@@ -50,11 +50,16 @@ pub struct ChurnConfig {
 /// returned to the enclave's free list. Later records may touch the
 /// same virtual page again — that re-touch is a fresh first-touch
 /// (new physical frame, recycled leaf-id).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PageFree {
     pub after_record: usize,
     pub vaddr: u64,
 }
+
+itesp_snap::persist!(PageFree {
+    after_record,
+    vaddr,
+});
 
 /// One enclave's life: arrival delay, its access stream, and its
 /// mid-life page frees (sorted by `after_record`).
