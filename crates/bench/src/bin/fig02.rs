@@ -8,7 +8,7 @@
 //! Run: `cargo run --release -p itesp-bench --bin fig02 [ops]`
 //! (supports `--resume`, `--timeout`, `--retries`; see EXPERIMENTS.md)
 
-use itesp_bench::{engine_replay, ops_from_env, print_table, run_campaign, save_json, TRACE_SEED};
+use itesp_bench::{engine_replay, print_table, run_campaign, save_json, trace_ops, TRACE_SEED};
 use itesp_core::{EngineConfig, Scheme};
 use itesp_trace::{FreeListModel, MultiProgram, BENCHMARKS};
 use serde::Serialize;
@@ -24,7 +24,7 @@ struct Row {
 }
 
 fn main() {
-    let ops = ops_from_env();
+    let ops = trace_ops();
     // One checkpointed job per benchmark; a killed run resumes with
     // `--resume`.
     let rows: Vec<Row> = run_campaign("fig02", BENCHMARKS.len(), move |i| {

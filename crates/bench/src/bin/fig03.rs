@@ -11,7 +11,7 @@
 //! Run: `cargo run --release -p itesp-bench --bin fig03 [ops]`
 //! (supports `--resume`, `--timeout`, `--retries`; see EXPERIMENTS.md)
 
-use itesp_bench::{engine_replay, ops_from_env, print_table, run_campaign, save_json, TRACE_SEED};
+use itesp_bench::{engine_replay, print_table, run_campaign, save_json, trace_ops, TRACE_SEED};
 use itesp_core::{EngineConfig, MissCase, Scheme};
 use itesp_trace::{memory_intensive, FreeListModel, MultiProgram};
 use serde::Serialize;
@@ -36,7 +36,7 @@ fn breakdown(mp: &MultiProgram, cfg: EngineConfig) -> [f64; 8] {
 }
 
 fn main() {
-    let ops = ops_from_env();
+    let ops = trace_ops();
     let benches: Vec<_> = memory_intensive().collect();
     // One checkpointed job per benchmark, producing its Large and Small
     // rows; a killed run resumes with `--resume`.

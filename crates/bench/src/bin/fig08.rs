@@ -9,7 +9,7 @@
 //! Run: `cargo run --release -p itesp-bench --bin fig08 [ops]`
 //! (supports `--resume`, `--timeout`, `--retries`; see EXPERIMENTS.md)
 
-use itesp_bench::{ops_from_env, print_table, run_campaign, save_json, TRACE_SEED};
+use itesp_bench::{print_table, run_campaign, save_json, trace_ops, TRACE_SEED};
 use itesp_core::Scheme;
 use itesp_sim::{run_workload, ExperimentParams, RunResult};
 use itesp_trace::{MultiProgram, BENCHMARKS};
@@ -25,7 +25,7 @@ struct Row {
 }
 
 fn main() {
-    let ops = ops_from_env();
+    let ops = trace_ops();
     let schemes = Scheme::FIGURE_8;
 
     // One checkpointed job per benchmark (its baseline plus every

@@ -7,7 +7,7 @@
 //!
 //! Run: `cargo run --release -p itesp-bench --bin fig09 [ops]`
 
-use itesp_bench::{ops_from_env, print_table, run_campaign, save_json, TRACE_SEED};
+use itesp_bench::{print_table, run_campaign, save_json, trace_ops, TRACE_SEED};
 use itesp_core::{MetaKind, Scheme};
 use itesp_sim::{run_workload, ExperimentParams};
 use itesp_trace::{memory_intensive, MultiProgram};
@@ -24,7 +24,7 @@ struct Row {
 }
 
 fn main() {
-    let ops = ops_from_env();
+    let ops = trace_ops();
     let schemes = Scheme::FIGURE_8;
     let benches: Vec<_> = memory_intensive().collect();
     // One checkpointed job per benchmark; contributions fold in

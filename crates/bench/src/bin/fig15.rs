@@ -12,7 +12,7 @@
 //!
 //! Run: `cargo run --release -p itesp-bench --bin fig15 [ops]`
 
-use itesp_bench::{ops_from_env, print_table, run_campaign, save_json, TRACE_SEED};
+use itesp_bench::{print_table, run_campaign, save_json, trace_ops, TRACE_SEED};
 use itesp_core::Scheme;
 use itesp_dram::AddressMapping;
 use itesp_sim::{run_workload, ExperimentParams, RunResult};
@@ -28,7 +28,7 @@ struct Row {
 }
 
 fn main() {
-    let ops = ops_from_env();
+    let ops = trace_ops();
     let benches: Vec<_> = memory_intensive().collect();
 
     // One checkpointed job per benchmark; the per-mapping series fold

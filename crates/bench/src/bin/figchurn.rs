@@ -21,9 +21,8 @@
 //! Run: `cargo run --release -p itesp-bench --bin figchurn [ops]`
 //! (supports `--resume`, `--timeout`, `--retries`; see EXPERIMENTS.md)
 
-use itesp_bench::{ops_from_env, print_table, run_campaign, save_json};
+use itesp_bench::{print_table, run_campaign, save_json, seed_or, trace_ops};
 use itesp_core::Scheme;
-use itesp_reliability::env_seed;
 use itesp_sim::{run_workload_churn, ExperimentParams, RunResult};
 use itesp_trace::{benchmark, ChurnConfig, ChurnWorkload};
 use serde::Serialize;
@@ -153,8 +152,8 @@ fn check_invariants(scheme: Scheme, sweep: &str, cfg: &ChurnConfig, r: &RunResul
 }
 
 fn main() {
-    let ops = ops_from_env();
-    let seed = env_seed(0x5EED);
+    let ops = trace_ops();
+    let seed = seed_or(0x5EED);
 
     let mut rows: Vec<Row> = Vec::new();
     for (label, gap, footprint) in SWEEPS {

@@ -29,12 +29,12 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
-use itesp_bench::{ops_from_env, print_table, save_json};
+use itesp_bench::{print_table, save_json, seed_or, setting, snapshot_settings, trace_ops};
 use itesp_core::Scheme;
 use itesp_migrate::{
     peek_header, Cluster, ClusterConfig, ClusterStats, ClusterWorkload, MigrateError,
 };
-use itesp_reliability::env_seed;
+use itesp_orchestrate::knobs;
 use itesp_snap::{SnapshotStore, StoreError};
 use itesp_trace::{benchmark, ChurnConfig, ChurnWorkload};
 
@@ -45,8 +45,6 @@ const TENANTS: usize = 12;
 /// Ticks between crash snapshots in the drill stages.
 const DRILL_EVERY: u64 = 24;
 
-/// Marker env var: set on the child process the parent SIGKILLs.
-const CHILD_ENV: &str = "ITESP_FIGMIGRATE_CHILD";
 /// File the child drops once a transfer is in flight and it is
 /// standing still, waiting for the parent's SIGKILL.
 const MARKER: &str = "freeze.marker";
@@ -142,9 +140,7 @@ fn scratch(tag: &str, seed: u64) -> PathBuf {
 /// the marker file and stand still so the parent's SIGKILL lands while
 /// the transfer is in flight. If the kill never comes, finish anyway.
 fn child_main(seed: u64, ops: usize) -> ! {
-    let dir: PathBuf = std::env::var_os("ITESP_SNAPSHOT_DIR")
-        .expect("child needs ITESP_SNAPSHOT_DIR")
-        .into();
+    let (dir, _) = snapshot_settings().expect("child needs ITESP_SNAPSHOT_DIR");
     let wl = workload(seed, ops);
     let s = schedule(&wl);
     let limit = wedge_limit(&wl);
@@ -246,10 +242,10 @@ fn live_cluster_drill(seed: u64, ops: usize, expect: &str) -> (ClusterStats, u64
 fn kill_and_recover(seed: u64, ops: usize, expect: &str, dir: &Path) -> (bool, u64, u64) {
     let exe = std::env::current_exe().expect("own path");
     let mut child = Command::new(exe)
-        .env(CHILD_ENV, "1")
-        .env("ITESP_TEST_SEED", seed.to_string())
-        .env("ITESP_OPS", ops.to_string())
-        .env("ITESP_SNAPSHOT_DIR", dir)
+        .env(knobs::DRILL_CHILD.env, "1")
+        .env(knobs::TEST_SEED.env, seed.to_string())
+        .env(knobs::OPS.env, ops.to_string())
+        .env(knobs::SNAPSHOT_DIR.env, dir)
         .stdout(Stdio::null())
         .stderr(Stdio::inherit())
         .spawn()
@@ -377,9 +373,9 @@ fn rollback_oracle(seed: u64, ops: usize, expect: &str, dir: &Path) -> (usize, u
 }
 
 fn main() {
-    let seed = env_seed(0xC0FFEE);
-    let ops = ops_from_env();
-    if std::env::var_os(CHILD_ENV).is_some() {
+    let seed = seed_or(0xC0FFEE);
+    let ops = trace_ops();
+    if setting::<bool>(&knobs::DRILL_CHILD) {
         child_main(seed, ops);
     }
 

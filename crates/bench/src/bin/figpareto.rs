@@ -15,7 +15,7 @@
 //! (supports `--jobs`, `--resume`, `--timeout`, `--retries`; output is
 //! byte-identical at any `--jobs` value — see EXPERIMENTS.md)
 
-use itesp_bench::{ops_from_env, print_table, run_campaign, save_json, TRACE_SEED};
+use itesp_bench::{print_table, run_campaign, save_json, trace_ops, TRACE_SEED};
 use itesp_core::Scheme;
 use itesp_sim::{run_workload, ExperimentParams};
 use itesp_trace::{benchmark, MultiProgram};
@@ -36,7 +36,7 @@ struct Row {
 }
 
 fn main() {
-    let ops = ops_from_env();
+    let ops = trace_ops();
     let schemes = Scheme::ALL;
 
     let rows: Vec<Row> = run_campaign("figpareto", schemes.len(), move |i| {

@@ -17,9 +17,8 @@
 //! Run: `cargo run --release -p itesp-bench --bin figras [ops]`
 //! (supports `--resume`, `--timeout`, `--retries`; see EXPERIMENTS.md)
 
-use itesp_bench::{ops_from_env, print_table, run_campaign, save_json, TRACE_SEED};
+use itesp_bench::{print_table, run_campaign, save_json, seed_or, trace_ops, TRACE_SEED};
 use itesp_core::Scheme;
-use itesp_reliability::env_seed;
 use itesp_sim::{run_workload, run_workload_ras, Drill, ExperimentParams, RasConfig, RunResult};
 use itesp_trace::{benchmark, MultiProgram};
 use serde::Serialize;
@@ -104,8 +103,8 @@ fn check_invariants(scheme: Scheme, scenario: &str, r: &RunResult, seed: u64) {
 }
 
 fn main() {
-    let ops = ops_from_env();
-    let seed = env_seed(0x5EED);
+    let ops = trace_ops();
+    let seed = seed_or(0x5EED);
     let jobs = SCHEMES.len() * SCENARIOS.len();
 
     let rows: Vec<Row> = run_campaign("figras", jobs, move |i| {

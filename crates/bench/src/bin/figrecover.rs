@@ -34,12 +34,12 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
-use itesp_bench::{ops_from_env, print_table, recover_from_env, save_json};
+use itesp_bench::{print_table, save_json, seed_or, setting, snapshot_settings, trace_ops};
 use itesp_core::Scheme;
-use itesp_reliability::env_seed;
+use itesp_orchestrate::knobs;
 use itesp_sim::{
     build_churn_ras_system, recover_system, recover_system_strict, ExperimentParams, RasConfig,
-    RecoverError, RunResult, SnapshotConfig, System,
+    RecoverError, RunResult, SnapshotSink, System,
 };
 use itesp_snap::{SnapshotStore, StoreError};
 use itesp_trace::{benchmark, ChurnConfig, ChurnWorkload};
@@ -48,9 +48,6 @@ use rand::{Rng, SeedableRng};
 
 const SLOTS: usize = 4;
 const SESSIONS_PER_SLOT: usize = 3;
-
-/// Marker env var: set on the child process the parent SIGKILLs.
-const CHILD_ENV: &str = "ITESP_FIGRECOVER_CHILD";
 
 /// Default CPU cycles between the drill's snapshots — small enough
 /// that even a quick run commits several checkpoints to kill between.
@@ -103,26 +100,26 @@ fn scratch(tag: &str, seed: u64) -> PathBuf {
 /// the middle — if we survive to the end, the drill still verifies
 /// recovery from the snapshots we wrote.
 fn child_main(seed: u64, ops: usize) -> ! {
-    let cfg = SnapshotConfig::from_env().expect("child needs ITESP_SNAPSHOT_DIR");
+    let (dir, every) = snapshot_settings().expect("child needs ITESP_SNAPSHOT_DIR");
     let mut sys = build_system(seed, ops);
-    sys.attach_snapshots(cfg.sink().expect("child snapshot dir must open"));
+    sys.attach_snapshots(SnapshotSink::new(&dir, every).expect("child snapshot dir must open"));
     let r = sys.try_run().expect("drill RAS config never halts");
-    fs::write(cfg.dir.join("final.json"), fingerprint(&r)).expect("write child fingerprint");
+    fs::write(dir.join("final.json"), fingerprint(&r)).expect("write child fingerprint");
     std::process::exit(0);
 }
 
 /// Operator mode (`--recover`): resume the schedule from the snapshots
 /// in `ITESP_SNAPSHOT_DIR` and run it to completion.
 fn recover_main(seed: u64, ops: usize) -> ! {
-    let cfg = SnapshotConfig::from_env().unwrap_or_else(|| {
+    let (dir, _) = snapshot_settings().unwrap_or_else(|| {
         eprintln!("error: --recover requires ITESP_SNAPSHOT_DIR");
         std::process::exit(2);
     });
     let mut sys = build_system(seed, ops);
-    let meta = match recover_system(&mut sys, &cfg.dir) {
+    let meta = match recover_system(&mut sys, &dir) {
         Ok(m) => m,
         Err(e) => {
-            eprintln!("error: could not recover from {}: {e}", cfg.dir.display());
+            eprintln!("error: could not recover from {}: {e}", dir.display());
             std::process::exit(1);
         }
     };
@@ -146,11 +143,11 @@ fn kill_and_recover(
 ) -> (usize, bool, u64, String) {
     let exe = std::env::current_exe().expect("own path");
     let mut child = Command::new(exe)
-        .env(CHILD_ENV, "1")
-        .env("ITESP_TEST_SEED", seed.to_string())
-        .env("ITESP_OPS", ops.to_string())
-        .env("ITESP_SNAPSHOT_DIR", dir)
-        .env("ITESP_SNAPSHOT_EVERY", DRILL_EVERY.to_string())
+        .env(knobs::DRILL_CHILD.env, "1")
+        .env(knobs::TEST_SEED.env, seed.to_string())
+        .env(knobs::OPS.env, ops.to_string())
+        .env(knobs::SNAPSHOT_DIR.env, dir)
+        .env(knobs::SNAPSHOT_EVERY.env, DRILL_EVERY.to_string())
         .stdout(Stdio::null())
         .stderr(Stdio::inherit())
         .spawn()
@@ -259,12 +256,12 @@ fn rollback_oracle(seed: u64, ops: usize, reference: &str, dir: &Path) -> (usize
 }
 
 fn main() {
-    let seed = env_seed(0xC0FFEE);
-    let ops = ops_from_env();
-    if std::env::var_os(CHILD_ENV).is_some() {
+    let seed = seed_or(0xC0FFEE);
+    let ops = trace_ops();
+    if setting::<bool>(&knobs::DRILL_CHILD) {
         child_main(seed, ops);
     }
-    if recover_from_env() {
+    if setting::<bool>(&knobs::RECOVER) {
         recover_main(seed, ops);
     }
 

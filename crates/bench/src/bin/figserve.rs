@@ -30,8 +30,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use itesp_bench::{ops_from_env, print_table, save_json};
-use itesp_reliability::env_seed;
+use itesp_bench::{print_table, save_json, seed_or, trace_ops};
 use itesp_serve::chaos::ChaosMode;
 use itesp_serve::client::{misbehave, run_once, run_with_retry};
 use itesp_serve::protocol::{Hello, PROTOCOL_VERSION};
@@ -222,10 +221,10 @@ fn chaos_clients(
 }
 
 fn main() {
-    let seed = env_seed(0x005E_127E);
+    let seed = seed_or(0x005E_127E);
     // Per-tenant trace length: the batch default is a campaign-scale
     // count; each of the 8 tenants runs a slice of it.
-    let ops = (ops_from_env() / TENANTS as usize).clamp(200, 50_000);
+    let ops = (trace_ops() / TENANTS as usize).clamp(200, 50_000);
 
     // Stage 1: reference session, no chaos.
     eprintln!("[figserve: reference session, {TENANTS} tenants x {ops} ops, seed {seed}]");

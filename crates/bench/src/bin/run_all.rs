@@ -13,12 +13,12 @@
 //! continues, the failure lands in `results/run_all_summary.json`, and
 //! the process exits nonzero at the end.
 
+use std::path::PathBuf;
 use std::process::Command;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use itesp_bench::{
-    jobs_from_env, ops_from_env, save_json, target_retries_from_env, target_timeout_from_env,
-};
+use itesp_bench::{jobs, save_json, setting, trace_ops};
+use itesp_orchestrate::knobs;
 use serde::Serialize;
 
 const TARGETS: &[&str] = &[
@@ -165,21 +165,22 @@ fn entry_key(text: &str) -> Option<(String, u64, Vec<String>)> {
 }
 
 /// Record this run's per-target seconds in the perf-trajectory log
-/// (`BENCH_run_all.json`, or `ITESP_BENCH_LOG`). The log is a JSON
+/// ([`knobs::BENCH_LOG`]). The log is a JSON
 /// array of [`BenchLogEntry`]; a corrupt or missing file starts fresh
 /// rather than aborting a finished campaign. Re-running at the same
 /// `(git rev, jobs, target set)` *replaces* the earlier measurement
 /// instead of appending forever — rerunning a campaign at one revision
 /// must not make the trajectory grow without bound.
 fn append_bench_log(reports: &[TargetReport], failures: &[String]) {
-    let path = std::env::var("ITESP_BENCH_LOG").unwrap_or_else(|_| "BENCH_run_all.json".to_owned());
+    let log = setting::<PathBuf>(&knobs::BENCH_LOG);
+    let path = log.display();
     let entry = BenchLogEntry {
         timestamp: SystemTime::now()
             .duration_since(UNIX_EPOCH)
             .map_or(0, |d| d.as_secs()),
         git_rev: git_rev(),
-        jobs: jobs_from_env(),
-        ops: ops_from_env(),
+        jobs: jobs(),
+        ops: trace_ops(),
         targets: reports
             .iter()
             .map(|r| TargetSeconds {
@@ -195,7 +196,7 @@ fn append_bench_log(reports: &[TargetReport], failures: &[String]) {
     let key = (entry.git_rev.clone(), entry.jobs as u64, key_targets);
     let rendered = serde_json::to_string_pretty(&entry).expect("entry serializes");
 
-    let mut parts: Vec<String> = std::fs::read_to_string(&path)
+    let mut parts: Vec<String> = std::fs::read_to_string(&log)
         .ok()
         .filter(|s| serde_json::from_str(s).is_ok())
         .and_then(|s| split_array_elements(&s))
@@ -205,7 +206,7 @@ fn append_bench_log(reports: &[TargetReport], failures: &[String]) {
     let superseded = before - parts.len();
     parts.push(rendered);
     let body = format!("[\n{}\n]", parts.join(",\n"));
-    if let Err(e) = std::fs::write(&path, body + "\n") {
+    if let Err(e) = std::fs::write(&log, body + "\n") {
         eprintln!("warning: could not append bench log {path}: {e}");
     } else if superseded > 0 {
         println!(
@@ -269,27 +270,11 @@ fn run_child(exe: &std::path::Path, args: &[String], timeout: Option<Duration>) 
     }
 }
 
-/// The arguments forwarded to children: everything we received except
-/// the `--target-*` flags, which only steer this orchestrator.
-fn forwarded_args() -> Vec<String> {
-    let mut out = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--target-timeout" || a == "--target-retries" {
-            let _ = args.next(); // consume the flag's value
-        } else if a.starts_with("--target-timeout=") || a.starts_with("--target-retries=") {
-            // flag and value in one token; drop it
-        } else {
-            out.push(a);
-        }
-    }
-    out
-}
-
 fn main() {
-    let forwarded = forwarded_args();
-    let timeout = target_timeout_from_env();
-    let retries = target_retries_from_env();
+    // Children get every argument except the run_all-only rows' flags.
+    let forwarded = &knobs::exit_on(knobs::load_args()).forward;
+    let timeout = setting::<Option<Duration>>(&knobs::TARGET_TIMEOUT);
+    let retries = setting::<u32>(&knobs::TARGET_RETRIES);
     let me = std::env::current_exe().expect("current exe path");
     let dir = me.parent().expect("exe directory");
     let mut reports = Vec::new();

@@ -23,9 +23,10 @@ use serde::Serialize;
 use serde_json::FromValue;
 
 use crate::checkpoint::{ckpt_dir, Checkpoint};
-use itesp_orchestrate::{run_isolated, JobOutcome, JobPolicy};
+use crate::setting;
+use itesp_orchestrate::{knobs, run_isolated, JobOutcome, JobPolicy};
 
-/// Everything a campaign needs to know, resolved once from CLI/env by
+/// Everything a campaign needs to know, resolved once from the settings by
 /// [`CampaignOptions::from_env`] — or built directly in tests, which
 /// keeps them independent of process-global state.
 #[derive(Debug, Clone)]
@@ -46,21 +47,21 @@ pub struct CampaignOptions {
 }
 
 impl CampaignOptions {
-    /// Resolve options from the command line and environment (see
-    /// EXPERIMENTS.md for the knobs).
+    /// Resolve options from the settings table (command line, then
+    /// environment; see `itesp_orchestrate::knobs`).
     pub fn from_env(ops: usize) -> Self {
         CampaignOptions {
-            results_dir: crate::results_dir_from_env(),
-            resume: crate::resume_from_env(),
+            results_dir: setting(&knobs::RESULTS_DIR),
+            resume: setting(&knobs::RESUME),
             policy: JobPolicy {
-                workers: crate::jobs_from_env(),
-                timeout: crate::job_timeout_from_env(),
-                retries: crate::job_retries_from_env(),
+                workers: crate::jobs(),
+                timeout: setting(&knobs::JOB_TIMEOUT),
+                retries: setting(&knobs::JOB_RETRIES),
                 backoff: Duration::from_millis(100),
             },
             ops,
-            job_only: crate::job_only_from_env(),
-            inject_panic: inject_panic_from_env(),
+            job_only: setting(&knobs::JOB_ONLY),
+            inject_panic: setting(&knobs::INJECT_PANIC),
         }
     }
 
@@ -74,24 +75,6 @@ impl CampaignOptions {
             ops,
             job_only: None,
             inject_panic: None,
-        }
-    }
-}
-
-/// Parse `ITESP_INJECT_PANIC=<target>:<job>` (fault-drill knob).
-fn inject_panic_from_env() -> Option<(String, usize)> {
-    let v = crate::env_var("ITESP_INJECT_PANIC")?;
-    let parsed = v
-        .rsplit_once(':')
-        .and_then(|(t, j)| j.parse::<usize>().ok().map(|j| (t.to_owned(), j)));
-    match parsed {
-        Some(p) => Some(p),
-        None => {
-            eprintln!(
-                "error: invalid ITESP_INJECT_PANIC {v:?} (expected <target>:<job-index>, \
-                 e.g. fig08:3)"
-            );
-            std::process::exit(2);
         }
     }
 }
@@ -272,12 +255,7 @@ where
     T: Serialize + FromValue + Send + 'static,
     F: Fn(usize) -> T + Send + Sync + 'static,
 {
-    run_campaign_with(
-        target,
-        n,
-        &CampaignOptions::from_env(crate::ops_from_env()),
-        f,
-    )
+    run_campaign_with(target, n, &CampaignOptions::from_env(crate::trace_ops()), f)
 }
 
 /// Path of `target`'s failure manifest.

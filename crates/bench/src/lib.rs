@@ -9,6 +9,8 @@
 //! under `results/`. Trace length defaults keep a full figure under a
 //! few minutes; set `ITESP_OPS` to raise it (the paper uses 5 M
 //! operations per program — relative results are stable far below that).
+//! Every flag and `ITESP_*` variable is a row of
+//! `itesp_orchestrate::knobs::TABLE`, read through [`setting`].
 
 pub mod campaign;
 pub mod checkpoint;
@@ -20,314 +22,45 @@ pub use itesp_orchestrate::{run_isolated, JobOutcome, JobPolicy};
 use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 use serde::Serialize;
 
 use itesp_core::{CacheStats, EngineConfig, EngineStats, SecurityEngine};
+use itesp_orchestrate::knobs::{self, Knob, KnobValue};
 use itesp_trace::{MultiProgram, PAGE_BYTES};
 
-/// Memory operations per program for quick regeneration runs.
-pub const DEFAULT_OPS: usize = 20_000;
-
-const USAGE: &str = "[ops] [--jobs N] [--resume] [--recover] [--timeout SECONDS] [--retries N] \
-                     [--job-only I] [--target-timeout SECONDS] [--target-retries N]";
-
-/// Command-line arguments shared by every regenerator binary: an
-/// optional positional operation count plus the orchestration flags.
-/// The `target_*` pair only matters to `run_all` (per-child subprocess
-/// deadlines); the others apply to any figure binary.
-#[derive(Default)]
-struct CliArgs {
-    ops: Option<String>,
-    jobs: Option<String>,
-    resume: bool,
-    recover: bool,
-    timeout: Option<String>,
-    retries: Option<String>,
-    job_only: Option<String>,
-    target_timeout: Option<String>,
-    target_retries: Option<String>,
-}
-
-/// Parse the command line once; every `*_from_env` accessor reads the
-/// same parse. Unit-test binaries carry libtest's own flags, so under
-/// `cfg(test)` the CLI is inert and only env vars apply.
-fn cli() -> &'static CliArgs {
-    static CLI: OnceLock<CliArgs> = OnceLock::new();
-    #[cfg(test)]
-    {
-        CLI.get_or_init(CliArgs::default)
-    }
+/// Read a bench setting from the [`knobs`] table; a malformed value or
+/// argument exits 2. Under `cfg(test)` the command line (libtest's) is
+/// not parsed.
+pub fn setting<T: KnobValue>(knob: &'static Knob) -> T {
     #[cfg(not(test))]
-    {
-        CLI.get_or_init(parse_cli)
-    }
+    knobs::exit_on(knobs::load_args());
+    knobs::exit_on(knob.get())
 }
 
-#[cfg_attr(test, allow(dead_code))]
-fn parse_cli() -> CliArgs {
-    let mut out = CliArgs::default();
-    let mut args = std::env::args().skip(1);
-    let value_of = |flag: &str, next: Option<String>| -> String {
-        next.unwrap_or_else(|| {
-            eprintln!("error: {flag} requires a value");
-            std::process::exit(2);
-        })
-    };
-    while let Some(a) = args.next() {
-        if a == "--jobs" || a == "-j" {
-            out.jobs = Some(value_of(&a, args.next()));
-        } else if let Some(v) = a.strip_prefix("--jobs=") {
-            out.jobs = Some(v.to_owned());
-        } else if a == "--resume" {
-            out.resume = true;
-        } else if a == "--recover" {
-            out.recover = true;
-        } else if a == "--timeout" {
-            out.timeout = Some(value_of(&a, args.next()));
-        } else if let Some(v) = a.strip_prefix("--timeout=") {
-            out.timeout = Some(v.to_owned());
-        } else if a == "--retries" {
-            out.retries = Some(value_of(&a, args.next()));
-        } else if let Some(v) = a.strip_prefix("--retries=") {
-            out.retries = Some(v.to_owned());
-        } else if a == "--job-only" {
-            out.job_only = Some(value_of(&a, args.next()));
-        } else if let Some(v) = a.strip_prefix("--job-only=") {
-            out.job_only = Some(v.to_owned());
-        } else if a == "--target-timeout" {
-            out.target_timeout = Some(value_of(&a, args.next()));
-        } else if let Some(v) = a.strip_prefix("--target-timeout=") {
-            out.target_timeout = Some(v.to_owned());
-        } else if a == "--target-retries" {
-            out.target_retries = Some(value_of(&a, args.next()));
-        } else if let Some(v) = a.strip_prefix("--target-retries=") {
-            out.target_retries = Some(v.to_owned());
-        } else if out.ops.is_none() && !a.starts_with('-') {
-            out.ops = Some(a);
-        } else {
-            eprintln!("error: unexpected argument {a:?} (usage: {USAGE})");
-            std::process::exit(2);
-        }
-    }
-    out
+/// Trace length per program ([`knobs::OPS`]).
+pub fn trace_ops() -> usize {
+    setting(&knobs::OPS)
 }
 
-/// Read an env var, distinguishing "unset" (a fallback) from "set but
-/// garbage" (a hard error naming the variable — a campaign must never
-/// silently run with different parameters than the operator asked for).
-fn env_var(name: &str) -> Option<String> {
-    match std::env::var(name) {
-        Ok(v) => Some(v),
-        Err(std::env::VarError::NotPresent) => None,
-        Err(std::env::VarError::NotUnicode(raw)) => {
-            eprintln!("error: {name} is set but not valid UTF-8 ({raw:?})");
-            std::process::exit(2);
-        }
-    }
+/// Worker threads ([`knobs::JOBS`], or the machine's available
+/// parallelism).
+pub fn jobs() -> usize {
+    setting::<Option<usize>>(&knobs::JOBS)
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-fn parse_positive(value: &str, what: &str, source: &str) -> usize {
-    match value.parse::<usize>() {
-        Ok(v) if v > 0 => v,
-        Ok(_) => {
-            eprintln!("error: {what} from {source} must be greater than zero (got {value:?})");
-            std::process::exit(2);
-        }
-        Err(_) => {
-            eprintln!("error: invalid {what} from {source}: {value:?} is not a positive integer");
-            std::process::exit(2);
-        }
-    }
+/// A drill's seed: [`knobs::TEST_SEED`], or `default`.
+pub fn seed_or(default: u64) -> u64 {
+    setting::<Option<u64>>(&knobs::TEST_SEED).unwrap_or(default)
 }
 
-fn parse_count(value: &str, what: &str, source: &str) -> usize {
-    match value.parse::<usize>() {
-        Ok(v) => v,
-        Err(_) => {
-            eprintln!("error: invalid {what} from {source}: {value:?} is not an integer");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Trace length per program: first CLI arg, `ITESP_OPS` env var, or
-/// [`DEFAULT_OPS`]. Exits with a clear error on non-numeric, zero, or
-/// non-unicode input rather than silently falling back.
-pub fn ops_from_env() -> usize {
-    if let Some(v) = &cli().ops {
-        return parse_positive(v, "operation count", "the command line");
-    }
-    match env_var("ITESP_OPS") {
-        Some(v) => parse_positive(&v, "operation count", "ITESP_OPS"),
-        None => DEFAULT_OPS,
-    }
-}
-
-/// Worker threads for [`run_jobs`]: `--jobs`/`-j` CLI flag, `ITESP_JOBS`
-/// env var, or the machine's available parallelism. Exits with a clear
-/// error on non-numeric or zero input.
-pub fn jobs_from_env() -> usize {
-    if let Some(v) = &cli().jobs {
-        return parse_positive(v, "job count", "the command line");
-    }
-    match env_var("ITESP_JOBS") {
-        Some(v) => parse_positive(&v, "job count", "ITESP_JOBS"),
-        None => std::thread::available_parallelism().map_or(1, |n| n.get()),
-    }
-}
-
-/// Whether to resume from checkpoints: `--resume` or `ITESP_RESUME=1`.
-pub fn resume_from_env() -> bool {
-    if cli().resume {
-        return true;
-    }
-    match env_var("ITESP_RESUME").as_deref() {
-        None | Some("0") | Some("") => false,
-        Some("1") => true,
-        Some(v) => {
-            eprintln!("error: invalid ITESP_RESUME {v:?} (expected 0 or 1)");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Resume a crash-recovery-enabled run from the snapshots in
-/// `ITESP_SNAPSHOT_DIR` instead of starting from cycle zero: the
-/// `--recover` flag or `ITESP_RECOVER=1`. Consumed by the binaries
-/// that support durable checkpoints (see `figrecover`).
-pub fn recover_from_env() -> bool {
-    if cli().recover {
-        return true;
-    }
-    match env_var("ITESP_RECOVER").as_deref() {
-        None | Some("0") | Some("") => false,
-        Some("1") => true,
-        Some(v) => {
-            eprintln!("error: invalid ITESP_RECOVER {v:?} (expected 0 or 1)");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Resolve a CLI-flag-then-env-var setting to its value and source.
-fn flag_or_env(flag: &Option<String>, var: &'static str) -> Option<(String, &'static str)> {
-    match (flag, env_var(var)) {
-        (Some(v), _) => Some((v.clone(), "the command line")),
-        (None, Some(v)) => Some((v, var)),
-        (None, None) => None,
-    }
-}
-
-fn parse_timeout(value: &str, what: &str, source: &str) -> Duration {
-    match value.parse::<f64>() {
-        Ok(secs) if secs.is_finite() && secs > 0.0 => Duration::from_secs_f64(secs),
-        _ => {
-            eprintln!(
-                "error: invalid {what} from {source}: {value:?} is not a positive \
-                 number of seconds"
-            );
-            std::process::exit(2);
-        }
-    }
-}
-
-fn parse_retries(value: &str, what: &str, source: &str) -> u32 {
-    u32::try_from(parse_count(value, what, source)).unwrap_or_else(|_| {
-        eprintln!("error: {what} from {source} does not fit in u32 (got {value:?})");
-        std::process::exit(2);
-    })
-}
-
-/// Per-job watchdog deadline: `--timeout SECONDS` or
-/// `ITESP_JOB_TIMEOUT` (fractional seconds allowed). Unset = no
-/// deadline.
-pub fn job_timeout_from_env() -> Option<Duration> {
-    flag_or_env(&cli().timeout, "ITESP_JOB_TIMEOUT")
-        .map(|(v, src)| parse_timeout(&v, "job timeout", src))
-}
-
-/// Retry budget per job: `--retries N` or `ITESP_JOB_RETRIES`. Default
-/// 0 (one attempt).
-pub fn job_retries_from_env() -> u32 {
-    flag_or_env(&cli().retries, "ITESP_JOB_RETRIES")
-        .map_or(0, |(v, src)| parse_retries(&v, "retry count", src))
-}
-
-/// Per-target subprocess deadline for `run_all`: `--target-timeout
-/// SECONDS` or `ITESP_TARGET_TIMEOUT`. Unset = no deadline.
-pub fn target_timeout_from_env() -> Option<Duration> {
-    flag_or_env(&cli().target_timeout, "ITESP_TARGET_TIMEOUT")
-        .map(|(v, src)| parse_timeout(&v, "target timeout", src))
-}
-
-/// Retry budget per `run_all` target: `--target-retries N` or
-/// `ITESP_TARGET_RETRIES`. Default 0 (one attempt).
-pub fn target_retries_from_env() -> u32 {
-    flag_or_env(&cli().target_retries, "ITESP_TARGET_RETRIES")
-        .map_or(0, |(v, src)| parse_retries(&v, "target retry count", src))
-}
-
-/// Replay filter: `--job-only I` or `ITESP_JOB_ONLY` — run only this
-/// job index, leaving the rest to a later `--resume`.
-pub fn job_only_from_env() -> Option<usize> {
-    flag_or_env(&cli().job_only, "ITESP_JOB_ONLY").map(|(v, src)| parse_count(&v, "job index", src))
-}
-
-/// Where results (and `.ckpt/` checkpoints) are written:
-/// `ITESP_RESULTS_DIR` or `results/`.
-pub fn results_dir_from_env() -> PathBuf {
-    env_var("ITESP_RESULTS_DIR").map_or_else(|| PathBuf::from("results"), PathBuf::from)
-}
-
-/// The fan-out policy the environment asks for (workers, watchdog
-/// deadline, retries).
-pub fn job_policy_from_env() -> JobPolicy {
-    JobPolicy {
-        workers: jobs_from_env(),
-        timeout: job_timeout_from_env(),
-        retries: job_retries_from_env(),
-        backoff: Duration::from_millis(100),
-    }
-}
-
-/// Fan `n` independent jobs across [`jobs_from_env`] worker threads and
-/// return their results **in input order**, so parallel runs produce
-/// byte-identical output to sequential ones.
-///
-/// Runs on the fault-tolerant [`run_isolated`] layer: a panicking or
-/// timed-out job no longer poisons the fan-out — the remaining jobs
-/// finish, every failure is reported, and the process exits nonzero.
-/// Figure binaries should prefer [`run_campaign`], which additionally
-/// checkpoints completed jobs for `--resume`.
-///
-/// `f` must be deterministic per index (every regenerator's simulations
-/// are). With one worker and no timeout this degenerates to a plain
-/// in-thread loop.
-pub fn run_jobs<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send + 'static,
-    F: Fn(usize) -> T + Send + Sync + 'static,
-{
-    let indices: Vec<usize> = (0..n).collect();
-    let outcomes = run_isolated(&indices, &job_policy_from_env(), Arc::new(f), |_, _| {});
-    let mut out = Vec::with_capacity(n);
-    let mut failed = 0usize;
-    for (i, outcome) in outcomes.into_iter().enumerate() {
-        if let Some(why) = outcome.failure() {
-            eprintln!("[itesp-bench] job {i} {why}");
-            failed += 1;
-        } else if let Some(v) = outcome.ok() {
-            out.push(v);
-        }
-    }
-    if failed > 0 {
-        eprintln!("error: {failed} of {n} job(s) failed");
-        std::process::exit(1);
-    }
-    out
+/// Crash-recovery checkpointing: the directory and the cycles between
+/// captures ([`knobs::SNAPSHOT_DIR`], [`knobs::SNAPSHOT_EVERY`]);
+/// `None` when no directory is set.
+pub fn snapshot_settings() -> Option<(PathBuf, u64)> {
+    let dir = setting::<Option<PathBuf>>(&knobs::SNAPSHOT_DIR)?;
+    Some((dir, setting(&knobs::SNAPSHOT_EVERY)))
 }
 
 /// Shared RNG seed so every figure sees the same traces.
@@ -403,7 +136,7 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
 /// `<name>.<sub>` sub-sweep checkpoints) are cleared — they have served
 /// their purpose.
 pub fn save_json<T: Serialize>(name: &str, value: &T) {
-    let dir = results_dir_from_env();
+    let dir: PathBuf = setting(&knobs::RESULTS_DIR);
     if let Err(e) = fs::create_dir_all(&dir) {
         eprintln!("[warning: could not create {}: {e}]", dir.display());
         return;
@@ -453,17 +186,5 @@ mod tests {
         let r = engine_replay(&mp, EngineConfig::paper_default(Scheme::Vault));
         assert_eq!(r.stats.data_accesses(), 1000);
         assert!(r.stats.meta_accesses() > 0);
-    }
-
-    #[test]
-    fn run_jobs_preserves_input_order() {
-        let out = run_jobs(64, |i| i * i);
-        assert_eq!(out, (0..64).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn run_jobs_handles_empty_and_single() {
-        assert_eq!(run_jobs(0, |i| i), Vec::<usize>::new());
-        assert_eq!(run_jobs(1, |i| i + 7), vec![7]);
     }
 }

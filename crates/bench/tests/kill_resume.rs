@@ -8,25 +8,23 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
+use itesp_orchestrate::knobs::{self, Scope};
+
 /// Small enough that a full 31-job campaign finishes in seconds even in
 /// debug builds, large enough that a serial run can be killed mid-way.
 const OPS: &str = "200";
 
 fn fig08(results_dir: &Path) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_fig08"));
+    // Shield the child from every ambient bench setting.
+    for knob in knobs::TABLE
+        .iter()
+        .filter(|k| matches!(k.scope, Scope::Bench | Scope::RunAll))
+    {
+        cmd.env_remove(knob.env);
+    }
     cmd.env("ITESP_RESULTS_DIR", results_dir)
         .env("ITESP_JOBS", "2");
-    // Shield the child from any ambient orchestration knobs.
-    for var in [
-        "ITESP_OPS",
-        "ITESP_RESUME",
-        "ITESP_JOB_TIMEOUT",
-        "ITESP_JOB_RETRIES",
-        "ITESP_JOB_ONLY",
-        "ITESP_INJECT_PANIC",
-    ] {
-        cmd.env_remove(var);
-    }
     cmd
 }
 

@@ -1,36 +1,21 @@
-//! The `ITESP_SCHEME_ONLY` scheme-filter knob.
-//!
-//! CI's scheme-matrix job (and anyone bisecting a scheme-specific
-//! failure) narrows the oracle and fault-campaign tests to a subset of
-//! schemes by setting `ITESP_SCHEME_ONLY` to a comma-separated list of
-//! scheme labels, e.g.
-//!
-//! ```text
-//! ITESP_SCHEME_ONLY=SECDDR,IRORAM cargo test -p itesp-oracle
-//! ```
-//!
-//! Labels go through [`Scheme::from_label`], so a typo fails loudly
-//! with the full list of valid labels instead of silently running
-//! nothing. Unset (or empty) means "all schemes" — the default test
-//! matrix is unchanged.
+//! The scheme filter: `ITESP_SCHEME_ONLY=SECDDR,IRORAM cargo test -p
+//! itesp-oracle` narrows the oracle and fault-campaign tests to those
+//! schemes (CI's scheme-matrix job). Labels go through
+//! [`Scheme::from_label`], so a typo fails loudly with the full list of
+//! valid labels instead of silently running nothing; unset means every
+//! scheme.
 
 use itesp_core::Scheme;
+use itesp_orchestrate::knobs;
 
-/// The parsed `ITESP_SCHEME_ONLY` set, or `None` when the knob is
-/// unset/empty. Panics (listing every valid label) on an unknown label.
+/// The `ITESP_SCHEME_ONLY` set, or `None` when unset. Panics (listing
+/// every valid label) on an unknown label.
 fn only_set() -> Option<Vec<Scheme>> {
-    let raw = std::env::var("ITESP_SCHEME_ONLY").ok()?;
-    let raw = raw.trim();
-    if raw.is_empty() {
-        return None;
-    }
-    Some(
-        raw.split(',')
-            .map(|l| {
-                Scheme::from_label(l.trim()).unwrap_or_else(|e| panic!("ITESP_SCHEME_ONLY: {e}"))
-            })
-            .collect(),
-    )
+    let labels: Vec<String> = knobs::SCHEME_ONLY.or_panic::<Option<_>>()?;
+    let scheme = |l: &String| {
+        Scheme::from_label(l).unwrap_or_else(|e| panic!("{}: {e}", knobs::SCHEME_ONLY.env))
+    };
+    Some(labels.iter().map(scheme).collect())
 }
 
 /// Is `scheme` part of the current test matrix?

@@ -14,7 +14,9 @@
 //! 4. [`seed`] — seed printing / replay (`ITESP_TEST_SEED`) and the
 //!    checked-in regression corpus (`corpus/seeds.txt`); [`filter`]
 //!    narrows any scheme-parameterized test to a label subset via
-//!    `ITESP_SCHEME_ONLY` (CI's scheme-matrix job).
+//!    `ITESP_SCHEME_ONLY` (CI's scheme-matrix job). These settings are
+//!    rows of `itesp_orchestrate::knobs::TABLE`, which parses them; a
+//!    malformed value panics the test naming the variable.
 //!
 //! The crate is test support: production crates must not depend on it
 //! (it depends on all of them). See EXPERIMENTS.md § "Oracle test

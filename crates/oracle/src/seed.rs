@@ -13,10 +13,12 @@
 //!    line) and run *before* the fresh seeds, so a fixed bug is retried
 //!    first on exactly the input that exposed it.
 //!
-//! The fresh-seed count can be scaled with `ITESP_TEST_CASES` (a global
-//! override applied to every randomized oracle test).
+//! `ITESP_TEST_CASES` scales the fresh-seed count of every randomized
+//! oracle test.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+
+use itesp_orchestrate::knobs;
 
 /// The checked-in corpus of past-failure seeds.
 const CORPUS: &str = include_str!("../corpus/seeds.txt");
@@ -60,18 +62,10 @@ fn splitmix(mut x: u64) -> u64 {
 /// set, otherwise the corpus entries followed by `count` fresh seeds
 /// (`count` itself overridable via `ITESP_TEST_CASES`).
 pub fn seeds_for(test_name: &str, count: u64) -> Vec<u64> {
-    if let Ok(s) = std::env::var("ITESP_TEST_SEED") {
-        let seed = s
-            .trim()
-            .parse()
-            .unwrap_or_else(|_| panic!("ITESP_TEST_SEED not a u64: {s:?}"));
+    if let Some(seed) = knobs::TEST_SEED.or_panic() {
         return vec![seed];
     }
-    let count = std::env::var("ITESP_TEST_CASES").ok().map_or(count, |s| {
-        s.trim()
-            .parse()
-            .unwrap_or_else(|_| panic!("ITESP_TEST_CASES not a u64: {s:?}"))
-    });
+    let count = knobs::TEST_CASES.or_panic::<Option<u64>>().unwrap_or(count);
     let base = fnv1a(test_name.as_bytes());
     let mut seeds = corpus_seeds(test_name);
     seeds.extend((0..count).map(|i| splitmix(base ^ splitmix(i))));
@@ -104,13 +98,15 @@ mod tests {
     /// True when the environment overrides are active (a user replaying a
     /// seed); the structural assertions below only describe the default
     /// configuration.
-    fn env_overridden() -> bool {
-        std::env::var("ITESP_TEST_SEED").is_ok() || std::env::var("ITESP_TEST_CASES").is_ok()
+    fn replaying() -> bool {
+        [&knobs::TEST_SEED, &knobs::TEST_CASES]
+            .iter()
+            .any(|k| k.or_panic::<Option<u64>>().is_some())
     }
 
     #[test]
     fn fresh_seeds_are_deterministic_and_distinct() {
-        if env_overridden() {
+        if replaying() {
             return;
         }
         let a = seeds_for("some-test", 16);
@@ -137,7 +133,7 @@ mod tests {
             assert!(!name.is_empty());
             seed.trim().parse::<u64>().expect("corpus seed is a u64");
         }
-        if env_overridden() {
+        if replaying() {
             return;
         }
         // A test with corpus entries sees them before any fresh seed.

@@ -26,6 +26,7 @@ use itesp_core::{
 };
 use itesp_enclave::{EnclaveManager, PAGE_BLOCKS};
 use itesp_oracle::with_seeds;
+use itesp_orchestrate::knobs;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -214,7 +215,10 @@ fn lifecycle_churn_never_replays_dead_state() {
     // The acceptance bar: 1000+ create/destroy cycles, with real
     // leaf-id recycling exercised along the way (single-seed replay
     // runs are exempt from the totals).
-    if std::env::var("ITESP_TEST_SEED").is_err() && std::env::var("ITESP_TEST_CASES").is_err() {
+    let replaying = [&knobs::TEST_SEED, &knobs::TEST_CASES]
+        .iter()
+        .any(|k| k.or_panic::<Option<u64>>().is_some());
+    if !replaying {
         assert!(cycles >= 1000, "only {cycles} lifecycle cycles ran");
         assert!(recycles > 0, "churn never recycled a leaf-id");
     }

@@ -17,6 +17,7 @@ use itesp_oracle::{
     classify, exhaustive_single_faults, fault_label, random_word, scheme_enabled, with_seeds,
     TrialOutcome, TrialWord,
 };
+use itesp_orchestrate::knobs;
 use itesp_reliability::{
     column_parity, correct_shared, inject, shared_parity, table_ii, CodeWord, Correction, Design,
     Fault, FaultStream, ReliabilityParams, TOTAL_CHIPS,
@@ -25,10 +26,7 @@ use rand::Rng;
 
 /// Randomized trials per seed (override with `ITESP_FAULT_TRIALS`).
 fn trials() -> usize {
-    std::env::var("ITESP_FAULT_TRIALS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(384)
+    knobs::FAULT_TRIALS.or_panic()
 }
 
 /// Single faults of every class on every chip — first the exhaustive

@@ -6,17 +6,18 @@
 //! `ITESP_TEST_SEED`, which the other oracle tests read.
 
 use itesp_oracle::seeds_for;
-use itesp_reliability::{env_seed, Fault, FaultStream, SEED_ENV};
+use itesp_orchestrate::knobs::{test_seed, TEST_SEED};
+use itesp_reliability::{Fault, FaultStream};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 #[test]
 fn unified_seed_replays_identical_fault_sequences() {
-    std::env::remove_var(SEED_ENV);
+    std::env::remove_var(TEST_SEED.env);
 
     // Without the override, the default flows through.
-    assert_eq!(env_seed(999), 999);
-    let defaulted: Vec<Fault> = FaultStream::from_env(999).take(32).collect();
+    assert_eq!(test_seed(999), 999);
+    let defaulted: Vec<Fault> = FaultStream::seeded(test_seed(999)).take(32).collect();
     assert_eq!(
         defaulted,
         FaultStream::seeded(999).take(32).collect::<Vec<_>>()
@@ -24,14 +25,14 @@ fn unified_seed_replays_identical_fault_sequences() {
 
     // With the override, both the oracle's seed schedule and the
     // stream collapse onto the same pinned seed.
-    std::env::set_var(SEED_ENV, "12345");
-    assert_eq!(env_seed(999), 12345);
+    std::env::set_var(TEST_SEED.env, "12345");
+    assert_eq!(test_seed(999), 12345);
     assert_eq!(
         seeds_for("any_campaign_at_all", 7),
         vec![12345],
         "oracle campaigns replay exactly the pinned seed"
     );
-    let stream: Vec<Fault> = FaultStream::from_env(999).take(64).collect();
+    let stream: Vec<Fault> = FaultStream::seeded(test_seed(999)).take(64).collect();
     assert_eq!(
         stream,
         FaultStream::seeded(12345).take(64).collect::<Vec<_>>(),
@@ -43,5 +44,5 @@ fn unified_seed_replays_identical_fault_sequences() {
     let direct: Vec<Fault> = (0..64).map(|_| Fault::random(&mut rng)).collect();
     assert_eq!(stream, direct);
 
-    std::env::remove_var(SEED_ENV);
+    std::env::remove_var(TEST_SEED.env);
 }

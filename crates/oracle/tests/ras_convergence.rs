@@ -20,16 +20,14 @@
 //! `ITESP_TEST_SEED` replays one failing seed (printed on failure).
 
 use itesp_oracle::with_seeds;
+use itesp_orchestrate::knobs;
 use itesp_reliability::{table_ii, Design, FaultStream, ReliabilityParams};
 use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Window-count scale factor (override with `ITESP_RAS_WINDOWS`).
 fn window_scale() -> f64 {
-    std::env::var("ITESP_RAS_WINDOWS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.0)
+    knobs::RAS_WINDOWS.or_panic()
 }
 
 /// Devices that fail this window: geometric skip-sampling, O(failures)

@@ -1,25 +1,29 @@
 //! # itesp-orchestrate — fault-tolerant job execution policies
 //!
 //! The one timeout/retry/backoff implementation shared by the batch
-//! side (`itesp-bench`'s `run_jobs` fan-out and checkpointed campaigns)
-//! and the serving side (`itesp-serve`'s per-connection policies).
+//! side (`itesp-bench`'s checkpointed campaigns) and the serving side
+//! (`itesp-serve`'s per-connection policies).
 //!
 //! [`run_isolated`] fans jobs across worker threads, but each job
 //! attempt runs under `catch_unwind` (one panicking job no longer
 //! poisons the whole fan-out), optionally under a watchdog deadline,
 //! and failed attempts retry with exponential backoff. Every job
 //! resolves to a [`JobOutcome`] instead of `T`, so the caller decides
-//! what a failure costs: `run_jobs` aborts the binary, the campaign
-//! layer records it in a failure manifest and keeps going, and a serve
-//! connection turns it into a typed error frame for that client alone.
+//! what a failure costs: the campaign layer records it in a failure
+//! manifest and keeps going, and a serve connection turns it into a
+//! typed error frame for that client alone.
 //!
 //! [`run_policied`] is the single-job entry point: one attempt chain
 //! under the same policy, for callers (shard workers, connection
 //! handlers) that execute jobs one at a time rather than fanning out.
 //!
-//! This crate is deliberately environment-free — policy comes in as a
-//! [`JobPolicy`] value, which keeps the layer testable without touching
-//! process-global env vars. (`itesp-bench` owns the env/CLI parsing.)
+//! The policy layer is environment-free — policy comes in as a
+//! [`JobPolicy`] value, which keeps it testable without touching
+//! process-global env vars. [`knobs`] is the workspace's one settings
+//! table: every `ITESP_*` variable and bench flag is declared, parsed
+//! and rejected there, and nowhere else.
+
+pub mod knobs;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -274,6 +278,17 @@ mod tests {
         );
         let values: Vec<usize> = out.into_iter().map(|o| o.ok().unwrap()).collect();
         assert_eq!(values, vec![50, 20, 90, 0]);
+    }
+
+    #[test]
+    fn fan_outs_of_any_size_keep_input_order() {
+        for n in [0, 1, 64] {
+            let indices: Vec<usize> = (0..n).collect();
+            let policy = JobPolicy::serial().with_workers(4);
+            let out = run_isolated(&indices, &policy, Arc::new(|i: usize| i * i), |_, _| {});
+            let values: Vec<usize> = out.into_iter().map(|o| o.ok().unwrap()).collect();
+            assert_eq!(values, (0..n).map(|i| i * i).collect::<Vec<_>>());
+        }
     }
 
     #[test]

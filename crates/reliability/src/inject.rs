@@ -14,26 +14,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-/// Environment variable pinning every fault-campaign RNG to one seed —
-/// the same knob the oracle's `with_seeds` replay machinery honors.
-pub const SEED_ENV: &str = "ITESP_TEST_SEED";
-
-/// The seed a fault campaign should use: the `ITESP_TEST_SEED` override
-/// if set, otherwise `default`.
-///
-/// # Panics
-/// Panics if the variable is set but not a `u64` (a silently ignored
-/// typo would un-pin a replay).
-pub fn env_seed(default: u64) -> u64 {
-    match std::env::var(SEED_ENV) {
-        Ok(s) => s
-            .trim()
-            .parse()
-            .unwrap_or_else(|_| panic!("{SEED_ENV} not a u64: {s:?}")),
-        Err(_) => default,
-    }
-}
-
 /// Data chips in a x8 rank.
 pub const DATA_CHIPS: usize = 8;
 /// Total chips including the ECC chip.
@@ -156,12 +136,6 @@ impl FaultStream {
             seed,
             rng: StdRng::seed_from_u64(seed),
         }
-    }
-
-    /// A stream seeded from [`env_seed`]: the `ITESP_TEST_SEED`
-    /// override if set, otherwise `default`.
-    pub fn from_env(default: u64) -> Self {
-        Self::seeded(env_seed(default))
     }
 
     /// The seed this stream was built from (for replay lines).

@@ -40,7 +40,5 @@ pub use analytical::{
 pub use chipkill::{
     column_parity, correct_shared, reconstruct, shared_parity, verify_and_correct, Correction,
 };
-pub use inject::{
-    env_seed, inject, CodeWord, Fault, FaultStream, BEATS, DATA_CHIPS, SEED_ENV, TOTAL_CHIPS,
-};
+pub use inject::{inject, CodeWord, Fault, FaultStream, BEATS, DATA_CHIPS, TOTAL_CHIPS};
 pub use scrub::Scrubber;

@@ -2,41 +2,17 @@
 //!
 //! Two halves:
 //!
-//! * **Server-side** — `ITESP_SERVE_CHAOS` directives parsed by the
-//!   daemon. `panic-tenant=<id>` makes [`crate::tenant::run_tenant`]
-//!   panic for that tenant, the deliberate worker panic the drill uses
-//!   to prove shard isolation. A malformed directive is a hard error
-//!   at startup (the repo's `ITESP_*` convention), not a silent no-op.
+//! * **Server-side** — `ITESP_SERVE_CHAOS=panic-tenant=<id>`, parsed
+//!   once at daemon start into [`crate::ServerConfig::panic_tenant`]:
+//!   the shard worker panics on that tenant's requests, the deliberate
+//!   worker panic the drill uses to prove shard isolation. A malformed
+//!   directive stops the daemon before it binds (exit 2).
 //! * **Client-side** — [`ChaosMode`] behaviors a hostile client can
 //!   exhibit (disconnect mid-frame, slow-loris, garbage, oversized
 //!   declarations) plus a seeded corpus of malformed wire blobs for
 //!   the protocol property tests, replayable via `ITESP_TEST_SEED`.
 
 use crate::protocol::{FrameKind, HEADER, MAGIC, MAX_FRAME};
-
-/// Env var the daemon reads chaos directives from.
-pub const CHAOS_ENV: &str = "ITESP_SERVE_CHAOS";
-
-/// The tenant whose requests must panic in the worker, if any.
-///
-/// # Panics
-/// On a malformed directive — misconfiguration must surface, not
-/// silently disable the drill.
-pub fn panic_tenant() -> Option<u64> {
-    let spec = std::env::var(CHAOS_ENV).ok()?;
-    let mut target = None;
-    for directive in spec.split(',').filter(|d| !d.trim().is_empty()) {
-        let d = directive.trim();
-        let Some(id) = d.strip_prefix("panic-tenant=") else {
-            panic!("{CHAOS_ENV}: unknown directive {d:?} (want panic-tenant=<id>)");
-        };
-        target = Some(
-            id.parse()
-                .unwrap_or_else(|_| panic!("{CHAOS_ENV}: panic-tenant wants a u64, got {id:?}")),
-        );
-    }
-    target
-}
 
 /// Ways a chaotic client misbehaves on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

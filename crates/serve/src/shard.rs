@@ -58,7 +58,8 @@ impl ShardPool {
     /// Spawn `shards` workers, each admitting at most `queue_depth`
     /// outstanding requests. Completions land in `registry`; every
     /// `snap_every` completions the registry is snapshotted to
-    /// `store` (when present).
+    /// `store` (when present). Requests from `panic_tenant` panic in
+    /// the worker (the chaos drill).
     pub fn spawn(
         shards: usize,
         queue_depth: usize,
@@ -66,6 +67,7 @@ impl ShardPool {
         registry: Arc<Registry>,
         store: Option<Arc<Mutex<SnapshotStore>>>,
         snap_every: u64,
+        panic_tenant: Option<u64>,
     ) -> Self {
         let shards = shards.max(1);
         let capacity = queue_depth.max(1);
@@ -80,7 +82,15 @@ impl ShardPool {
                 thread::Builder::new()
                     .name(format!("itesp-shard-{i}"))
                     .spawn(move || {
-                        worker_loop(rx, policy, registry, store, snap_every, worker_pending)
+                        worker_loop(
+                            rx,
+                            policy,
+                            registry,
+                            store,
+                            snap_every,
+                            worker_pending,
+                            panic_tenant,
+                        )
                     })
                     .expect("spawn shard worker");
                 Shard { tx, pending }
@@ -207,10 +217,17 @@ fn worker_loop(
     store: Option<Arc<Mutex<SnapshotStore>>>,
     snap_every: u64,
     pending: Arc<AtomicUsize>,
+    panic_tenant: Option<u64>,
 ) {
     while let Ok(job) = rx.recv() {
         let req = job.req;
-        let outcome: Outcome = run_policied(&policy, move || run_tenant(&req));
+        let outcome: Outcome = run_policied(&policy, move || {
+            let tenant = req.hello.tenant;
+            if panic_tenant == Some(tenant) {
+                panic!("chaos: injected worker panic for tenant {tenant}");
+            }
+            run_tenant(&req)
+        });
         match &outcome {
             JobOutcome::Ok(Ok(stats)) => {
                 registry.complete(stats.clone());
@@ -264,7 +281,7 @@ mod tests {
     #[test]
     fn admission_bounds_and_busy_rejection() {
         let registry = Arc::new(Registry::new());
-        let pool = ShardPool::spawn(1, 2, JobPolicy::serial(), registry, None, 0);
+        let pool = ShardPool::spawn(1, 2, JobPolicy::serial(), registry, None, 0, None);
         let t1 = pool.try_admit(1).unwrap();
         let _t2 = pool.try_admit(1).unwrap();
         assert!(matches!(pool.try_admit(1), Err(ServeError::Busy)));
@@ -276,7 +293,7 @@ mod tests {
     #[test]
     fn gauges_track_reservations_per_shard() {
         let registry = Arc::new(Registry::new());
-        let pool = ShardPool::spawn(2, 3, JobPolicy::serial(), registry, None, 0);
+        let pool = ShardPool::spawn(2, 3, JobPolicy::serial(), registry, None, 0, None);
         assert_eq!(
             pool.gauges(),
             vec![
@@ -305,7 +322,15 @@ mod tests {
     #[test]
     fn jobs_complete_into_the_registry() {
         let registry = Arc::new(Registry::new());
-        let pool = ShardPool::spawn(2, 4, JobPolicy::serial(), Arc::clone(&registry), None, 0);
+        let pool = ShardPool::spawn(
+            2,
+            4,
+            JobPolicy::serial(),
+            Arc::clone(&registry),
+            None,
+            0,
+            None,
+        );
         let rx = pool.try_admit(5).unwrap().submit(request(5, 200));
         let outcome = rx.recv().unwrap();
         let stats = outcome.ok().unwrap().unwrap();
@@ -318,7 +343,7 @@ mod tests {
     #[test]
     fn tenants_land_on_stable_shards() {
         let registry = Arc::new(Registry::new());
-        let pool = ShardPool::spawn(3, 1, JobPolicy::serial(), registry, None, 0);
+        let pool = ShardPool::spawn(3, 1, JobPolicy::serial(), registry, None, 0, None);
         assert_eq!(pool.shard_of(0), 0);
         assert_eq!(pool.shard_of(7), 1);
         assert_eq!(pool.shard_of(8), 2);

@@ -16,7 +16,7 @@ use std::io::{Cursor, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use itesp_reliability::env_seed;
+use itesp_orchestrate::knobs::test_seed;
 use itesp_serve::chaos::{corpus, ChaosRng};
 use itesp_serve::client::run_once;
 use itesp_serve::protocol::{read_frame, records_frame_cells, Hello};
@@ -32,7 +32,7 @@ const CASES_PER_KIND: usize = 8;
 /// decoder must not panic on any of them.
 #[test]
 fn corpus_never_panics_the_codec() {
-    let seed = env_seed(42);
+    let seed = test_seed(42);
     for (i, case) in corpus(seed, CASES_PER_KIND).iter().enumerate() {
         let verdict = std::panic::catch_unwind(|| {
             let mut cursor = Cursor::new(case.bytes.clone());
@@ -59,7 +59,7 @@ fn corpus_never_panics_the_codec() {
 /// a typed error rather than a panic.
 #[test]
 fn random_hello_payloads_yield_typed_errors() {
-    let seed = env_seed(42);
+    let seed = test_seed(42);
     let mut rng = ChaosRng::new(seed ^ 0x48454C4C);
     for i in 0..64 {
         let n = rng.below(96) as usize;
@@ -80,7 +80,7 @@ fn random_hello_payloads_yield_typed_errors() {
 /// errors from `records_frame_cells` / `StreamDecoder`, never panics.
 #[test]
 fn record_stream_corruption_is_typed() {
-    let seed = env_seed(42);
+    let seed = test_seed(42);
     let mut rng = ChaosRng::new(seed ^ 0x5245_4353);
     for _ in 0..64 {
         let n = rng.below(256) as usize;
@@ -113,7 +113,7 @@ fn record_stream_corruption_is_typed() {
 /// completes, and the deterministic registry is untouched by any of it.
 #[test]
 fn live_daemon_survives_the_corpus() {
-    let seed = env_seed(42);
+    let seed = test_seed(42);
     let daemon = TestDaemon::start(scratch_dir("corpus"), 2, 4);
 
     // Seed one honest tenant so there is registry state to protect.

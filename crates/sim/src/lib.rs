@@ -39,9 +39,6 @@ pub use experiments::{
     run_workload_ras, try_run_named, ExperimentParams,
 };
 pub use ras::{Drill, RasConfig, RasError, RasStats};
-pub use recovery::{
-    recover_system, recover_system_strict, RecoverError, SnapshotConfig, SnapshotSink,
-    DEFAULT_SNAPSHOT_EVERY,
-};
+pub use recovery::{recover_system, recover_system_strict, RecoverError, SnapshotSink};
 pub use stats::RunResult;
 pub use system::{System, SystemConfig, CPU_PER_DRAM_CYCLE};

@@ -20,12 +20,9 @@
 //! restored. (Recovery *with* deterministic suffix replay from an old
 //! snapshot is always legitimate; it reproduces the exact same run.)
 //!
-//! Knobs (read by [`SnapshotConfig::from_env`], used by the bench
-//! binaries):
-//!
-//! * `ITESP_SNAPSHOT_DIR` — checkpoint directory (enables snapshots);
-//! * `ITESP_SNAPSHOT_EVERY` — CPU cycles between captures (default
-//!   [`DEFAULT_SNAPSHOT_EVERY`]).
+//! The bench binaries open a [`SnapshotSink`] from the settings table
+//! (`itesp_orchestrate::knobs`: `ITESP_SNAPSHOT_DIR`,
+//! `ITESP_SNAPSHOT_EVERY`).
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -34,50 +31,10 @@ use itesp_snap::{SnapError, SnapReader, SnapWriter, SnapshotMeta, SnapshotStore,
 
 use crate::system::{System, CPU_PER_DRAM_CYCLE};
 
-/// Default CPU cycles between snapshot captures.
-pub const DEFAULT_SNAPSHOT_EVERY: u64 = 200_000;
-
 /// Snapshot files kept on disk; older ones are pruned, and the WAL is
 /// compacted to the retained suffix (the head — the rollback evidence
 /// — always survives).
 const KEEP_SNAPSHOTS: usize = 4;
-
-/// Where and how often a run checkpoints.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotConfig {
-    /// Checkpoint directory (snapshot files + WAL).
-    pub dir: PathBuf,
-    /// CPU cycles between captures.
-    pub every: u64,
-}
-
-impl SnapshotConfig {
-    /// Build from `ITESP_SNAPSHOT_DIR` / `ITESP_SNAPSHOT_EVERY`;
-    /// `None` when no directory is configured (snapshots off).
-    pub fn from_env() -> Option<Self> {
-        let dir = std::env::var_os("ITESP_SNAPSHOT_DIR")?;
-        if dir.is_empty() {
-            return None;
-        }
-        let every = std::env::var("ITESP_SNAPSHOT_EVERY")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|&v| v > 0)
-            .unwrap_or(DEFAULT_SNAPSHOT_EVERY);
-        Some(SnapshotConfig {
-            dir: PathBuf::from(dir),
-            every,
-        })
-    }
-
-    /// Open the store and build the run loop's sink.
-    ///
-    /// # Errors
-    /// Propagates store-open failures.
-    pub fn sink(&self) -> Result<SnapshotSink, StoreError> {
-        SnapshotSink::new(&self.dir, self.every)
-    }
-}
 
 /// The run loop's checkpoint writer: owns the durable store and the
 /// capture cadence.

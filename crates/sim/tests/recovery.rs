@@ -16,10 +16,7 @@ use itesp_snap::{SnapReader, SnapWriter, SnapshotStore, StoreError};
 use itesp_trace::{benchmark, ChurnConfig, ChurnWorkload, MultiProgram};
 
 fn seed() -> u64 {
-    std::env::var("ITESP_TEST_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0x5EED)
+    itesp_orchestrate::knobs::test_seed(0x5EED)
 }
 
 fn workload(seed: u64) -> ChurnWorkload {
