@@ -10,37 +10,83 @@
 //! This is the optimized hot path; [`crate::reference::ReferenceChannel`]
 //! is the straight-line executable specification it must match
 //! command-for-command (checked by the `scheduler_equivalence` property
-//! test). Two mechanisms make it fast without changing behavior:
+//! test and the `scheduler_traffic` lockstep test). Every scheduling
+//! decision is bank-local: a bank's CAS candidate is its *oldest
+//! row-matching* request (CAS legality is uniform across a bank), and
+//! its PRE/ACT decision belongs to its *oldest* request (a younger
+//! conflict may never close a row an older request still wants, and
+//! `act_at` is the same for every request of a closed bank). Ties across
+//! banks resolve by global age (sequence number), which reproduces the
+//! reference scheduler's full age-order scan, quadratic open-row rescan
+//! included. Three mechanisms make it fast without changing behavior:
 //!
-//! * **Per-bank indexed queues** ([`RequestQueue`]): requests live in a
-//!   reusable slab, stamped with a monotonically increasing sequence
-//!   number (global age) and indexed per bank (oldest-first). One sweep
-//!   over the banks that have pending requests decides everything: the
-//!   bank's oldest row-matching request is its CAS candidate, its
-//!   oldest request owns the PRE/ACT decision, and ties across banks
-//!   resolve by sequence number — reproducing the reference
-//!   scheduler's full age-order scan (including its quadratic "does an
-//!   older request still want this open row" rescan) at
-//!   O(pending banks) per cycle. Removal is an ordered slab free, not
-//!   a `Vec` shift.
-//! * **Next-event skipping**: whenever a tick issues nothing, the
-//!   channel computes a lower bound on the next cycle at which *any*
-//!   command could issue (earliest CAS/PRE/ACT per pending request, the
-//!   next refresh deadline, and the next write-drain flag flip) and
-//!   early-returns from `tick` until then. Channel state is frozen
-//!   between events, so the skipped ticks are provably no-ops and the
-//!   command stream is identical to ticking every cycle.
+//! * **Event-driven selection** ([`RequestQueue`]): each bank caches
+//!   the cycle its CAS candidate clears the bank and rank gates (the
+//!   data bus excluded) and the cycle its row command (PRE or ACT) may
+//!   issue. A bank is recomputed only when an input of those times
+//!   changes: an enqueue or removal on the bank, a PRE/ACT/CAS on it, a
+//!   rank event on its rank (ACT, CAS, refresh), fast-forward or
+//!   restore. Banks whose time has passed sit in *ripe* sets; later
+//!   times wait in min-heaps. A sweep touches only the dirty banks, the
+//!   newly ripe ones and the ripe sets, never every active bank. The
+//!   data bus is one O(1) gate per sweep: the same-rank gate for the
+//!   last burst's rank, the turnaround gate for every other rank.
+//! * **Exact next-event skipping**: whenever a tick issues nothing, the
+//!   channel computes the earliest cycle at which a command can issue
+//!   (bus gates applied), a refresh falls due, or the write-drain flag
+//!   flips, and early-returns from `tick` until then. Channel state is
+//!   frozen between events, so the skipped ticks are provably no-ops.
+//!   The wake must be *exact*, not merely a lower bound:
+//!   [`Channel::next_event`] clips the run loop's bulk-advance and
+//!   event-skip windows, and snapshot capture points land on the cycles
+//!   the loop visits, so a looser wake changes snapshot bytes even when
+//!   every command stays the same.
+//! * **Slab storage**: requests live in a reusable slab, indexed per bank
+//!   oldest-first; removal is an ordered slab free, not a `Vec` shift.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::ops::Range;
 
 use crate::bank::{BankState, RankState};
 use crate::command::{ChannelStats, Command, Completion, IssuedCommand, Request};
 use crate::config::{DramConfig, DramTiming};
 use itesp_snap::{persist, Persist, SnapError, SnapReader, SnapWriter};
 
+/// A cached issue time meaning "no such command pending".
+const NEVER: u64 = u64::MAX;
+
 /// State of the shared data bus: last burst's rank and end time.
 #[derive(Debug, Clone, Copy, Default)]
 struct DataBus {
     free_at: u64,
     last_rank: Option<u32>,
+}
+
+impl DataBus {
+    /// The bus's CAS gates for a read or write queue: the banks of the
+    /// last burst's rank, the earliest cycle a CAS there may issue
+    /// (`g_same`), and the earliest for every other rank (`g_other`,
+    /// which adds the rank turnaround).
+    fn gates(&self, cfg: &DramConfig, writes: bool) -> (Range<usize>, u64, u64) {
+        let t = &cfg.timing;
+        let lat = if writes { t.t_cwd } else { t.t_cas };
+        let g_same = self.free_at.saturating_sub(lat);
+        match self.last_rank {
+            Some(r) => (
+                rank_banks(cfg, r),
+                g_same,
+                (self.free_at + t.t_rtrs).saturating_sub(lat),
+            ),
+            None => (0..0, g_same, g_same),
+        }
+    }
+}
+
+/// The bank indices of rank `r`.
+fn rank_banks(cfg: &DramConfig, r: u32) -> Range<usize> {
+    let per = cfg.geometry.banks_per_rank as usize;
+    r as usize * per..(r as usize + 1) * per
 }
 
 /// One occupied or free slab entry.
@@ -50,9 +96,7 @@ struct Slot {
     live: bool,
 }
 
-/// One per-bank index entry: everything the scheduler sweep reads,
-/// packed contiguously so a bank decision touches one cache line
-/// instead of gathering from the slab.
+/// One per-bank index entry: the request's slab slot, row and age.
 #[derive(Debug, Clone, Copy)]
 struct BankEntry {
     slot: u32,
@@ -60,22 +104,204 @@ struct BankEntry {
     seq: u64,
 }
 
-/// Age-ordered request storage with per-bank index lists.
+/// A set of bank indices: one bit per bank of the channel.
+#[derive(Debug, Clone)]
+struct BankSet {
+    words: Box<[u64]>,
+}
+
+impl BankSet {
+    fn new(nbanks: usize) -> Self {
+        BankSet {
+            words: vec![0; nbanks.div_ceil(64)].into_boxed_slice(),
+        }
+    }
+
+    fn insert(&mut self, b: usize) {
+        self.words[b / 64] |= 1 << (b % 64);
+    }
+
+    fn remove(&mut self, b: usize) {
+        self.words[b / 64] &= !(1 << (b % 64));
+    }
+
+    /// The bits of word `w` that fall inside `banks`.
+    fn mask(w: usize, banks: &Range<usize>) -> u64 {
+        let lo = banks.start.saturating_sub(w * 64).min(64);
+        let hi = banks.end.saturating_sub(w * 64).min(64);
+        if hi <= lo {
+            0
+        } else {
+            (u64::MAX >> (64 - (hi - lo))) << lo
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// Add every bank of `banks` that `filter` holds.
+    fn insert_from(&mut self, filter: &BankSet, banks: &Range<usize>) {
+        for (w, (word, f)) in self.words.iter_mut().zip(&filter.words[..]).enumerate() {
+            *word |= f & Self::mask(w, banks);
+        }
+    }
+
+    /// True if the set holds a bank outside `banks`.
+    fn any_outside(&self, banks: &Range<usize>) -> bool {
+        self.words
+            .iter()
+            .enumerate()
+            .any(|(w, &word)| word & !Self::mask(w, banks) != 0)
+    }
+
+    /// The members inside `banks`, in increasing order.
+    fn iter_in(&self, banks: Range<usize>) -> Members<'_> {
+        let words = &self.words[..];
+        let w = banks.start / 64;
+        let bits = words.get(w).map_or(0, |&word| word & Self::mask(w, &banks));
+        Members {
+            words,
+            banks,
+            w,
+            bits,
+        }
+    }
+}
+
+/// Iterator over the members of a [`BankSet`] inside a range of banks.
+struct Members<'a> {
+    words: &'a [u64],
+    banks: Range<usize>,
+    /// The word being drained, and its remaining members.
+    w: usize,
+    bits: u64,
+}
+
+impl Iterator for Members<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        while self.bits == 0 {
+            self.w += 1;
+            if self.w * 64 >= self.banks.end || self.w >= self.words.len() {
+                return None;
+            }
+            self.bits = self.words[self.w] & BankSet::mask(self.w, &self.banks);
+        }
+        let b = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(self.w * 64 + b)
+    }
+}
+
+/// One bank's pending requests in one queue, with the scheduler's cached
+/// issue times for them.
+#[derive(Debug, Clone)]
+struct BankQueue {
+    /// Pending entries, oldest first (push appends, removal preserves
+    /// order).
+    entries: Vec<BankEntry>,
+    /// Earliest cycle the CAS candidate (`cas`) clears the bank and rank
+    /// gates; the data bus is gated per sweep. `NEVER` when no pending
+    /// request wants the open row.
+    cas_at: u64,
+    /// The bank's oldest request for its open row, valid while `cas_at`
+    /// is not `NEVER`.
+    cas: BankEntry,
+    /// Earliest cycle of the head request's row command: PRE when it
+    /// conflicts with the open row, ACT when the bank is closed. `NEVER`
+    /// when the head hits the open row or the bank has no requests.
+    row_at: u64,
+}
+
+/// The banks whose cached time for one command kind (CAS or row) has
+/// passed, and the later ones in time order.
+///
+/// `pending` may hold stale entries: an entry `(at, bank)` is live only
+/// while `at` is still the bank's cached time. Every bank whose time is
+/// finite and in the future has a live entry, so the first live entry is
+/// the exact earliest pending time.
+#[derive(Debug, Clone)]
+struct Timeline {
+    ripe: BankSet,
+    pending: BinaryHeap<Reverse<(u64, u32)>>,
+}
+
+impl Timeline {
+    fn new(nbanks: usize) -> Self {
+        Timeline {
+            ripe: BankSet::new(nbanks),
+            pending: BinaryHeap::new(),
+        }
+    }
+
+    /// Bank `b`'s cached time moved from `old` to `new` during the sweep
+    /// at `now`.
+    fn place(&mut self, b: usize, old: u64, new: u64, now: u64) {
+        if new <= now {
+            self.ripe.insert(b);
+            return;
+        }
+        self.ripe.remove(b);
+        // An unchanged future time already has its live entry (a ripe
+        // bank's old time is at most `now`, so it always differs).
+        if new != NEVER && new != old {
+            self.pending.push(Reverse((new, b as u32)));
+        }
+    }
+
+    /// Move every bank whose time has come by `now` into the ripe set.
+    fn ripen(&mut self, now: u64, time: impl Fn(usize) -> u64) {
+        while let Some(&Reverse((at, b))) = self.pending.peek() {
+            if at > now {
+                break;
+            }
+            self.pending.pop();
+            if time(b as usize) == at {
+                self.ripe.insert(b as usize);
+            }
+        }
+    }
+
+    /// The earliest pending `(time, bank)`, dropping stale entries on
+    /// the way.
+    fn next(&mut self, time: impl Fn(usize) -> u64) -> Option<(u64, usize)> {
+        while let Some(&Reverse((at, b))) = self.pending.peek() {
+            if time(b as usize) == at {
+                return Some((at, b as usize));
+            }
+            self.pending.pop();
+        }
+        None
+    }
+}
+
+/// Age-ordered request storage with per-bank index lists and the
+/// scheduler's per-bank issue-time caches.
 ///
 /// Requests sit in a slab (`slots` + `free`), stamped with a strictly
-/// increasing sequence number (global age); `by_bank` keeps an
-/// oldest-first [`BankEntry`] list per bank carrying the row and age
-/// inline, so the scheduler sweep never touches the slab until it
-/// actually issues. `active` lists the banks with pending requests so
-/// sparse queues don't pay for the full bank count.
+/// increasing sequence number (global age); `banks` keeps an
+/// oldest-first [`BankEntry`] list per bank with the row and age inline.
+/// `dirty` marks the banks whose cached times are out of date; a
+/// scheduling sweep recomputes exactly those before it looks at the
+/// `cas` and `row` timelines.
 #[derive(Debug)]
 struct RequestQueue {
     slots: Vec<Slot>,
     free: Vec<u32>,
-    by_bank: Vec<Vec<BankEntry>>,
-    active: Vec<u32>,
-    /// Position of each bank in `active`, `u32::MAX` when absent.
-    active_pos: Vec<u32>,
+    banks: Vec<BankQueue>,
+    /// Banks with at least one pending request.
+    occupied: BankSet,
+    dirty: BankSet,
+    cas: Timeline,
+    row: Timeline,
+    /// No command of this queue can issue before this cycle: the last
+    /// wake computed for it, valid until anything in the channel changes.
+    /// Every change goes through `push`, `remove` or `touch`, which reset
+    /// it, so a sweep that only time separates from the last one (the
+    /// write-drain flag oscillating, say) returns at once.
+    quiet_until: u64,
     len: usize,
     cap: usize,
     next_seq: u64,
@@ -83,12 +309,25 @@ struct RequestQueue {
 
 impl RequestQueue {
     fn new(cap: usize, nbanks: usize) -> Self {
+        let idle = BankQueue {
+            entries: Vec::new(),
+            cas_at: NEVER,
+            cas: BankEntry {
+                slot: 0,
+                row: 0,
+                seq: 0,
+            },
+            row_at: NEVER,
+        };
         RequestQueue {
             slots: Vec::with_capacity(cap),
             free: Vec::new(),
-            by_bank: vec![Vec::new(); nbanks],
-            active: Vec::new(),
-            active_pos: vec![u32::MAX; nbanks],
+            banks: vec![idle; nbanks],
+            occupied: BankSet::new(nbanks),
+            dirty: BankSet::new(nbanks),
+            cas: Timeline::new(nbanks),
+            row: Timeline::new(nbanks),
+            quiet_until: 0,
             len: 0,
             cap,
             next_seq: 0,
@@ -127,15 +366,14 @@ impl RequestQueue {
             }
         };
         let b = req.bank_index as usize;
-        if self.by_bank[b].is_empty() {
-            self.active_pos[b] = self.active.len() as u32;
-            self.active.push(b as u32);
-        }
-        self.by_bank[b].push(BankEntry {
+        self.banks[b].entries.push(BankEntry {
             slot,
             row: req.coords.row,
             seq,
         });
+        self.occupied.insert(b);
+        self.dirty.insert(b);
+        self.quiet_until = 0;
         self.len += 1;
         true
     }
@@ -147,20 +385,17 @@ impl RequestQueue {
         debug_assert!(s.live);
         s.live = false;
         let b = s.req.bank_index as usize;
-        let list = &mut self.by_bank[b];
+        let list = &mut self.banks[b].entries;
         let pos = list
             .iter()
             .position(|e| e.slot == slot)
             .expect("slot present in its bank list");
         list.remove(pos);
         if list.is_empty() {
-            let ap = self.active_pos[b] as usize;
-            self.active.swap_remove(ap);
-            if ap < self.active.len() {
-                self.active_pos[self.active[ap] as usize] = ap as u32;
-            }
-            self.active_pos[b] = u32::MAX;
+            self.occupied.remove(b);
         }
+        self.dirty.insert(b);
+        self.quiet_until = 0;
         self.free.push(slot);
         self.len -= 1;
     }
@@ -169,18 +404,127 @@ impl RequestQueue {
         &self.slots[slot as usize].req
     }
 
-    /// The bank's pending entries, oldest first (push appends, remove is
-    /// order-preserving). Never empty for a bank listed in `active`.
-    fn bank_list(&self, bank: usize) -> &[BankEntry] {
-        &self.by_bank[bank]
-    }
-
     fn req_mut(&mut self, slot: u32) -> &mut Request {
         &mut self.slots[slot as usize].req
     }
 
-    fn active_banks(&self) -> &[u32] {
-        &self.active
+    /// Mark the occupied banks of `banks` for recomputation: bank or
+    /// rank timing they read has changed.
+    fn touch(&mut self, banks: &Range<usize>) {
+        self.dirty.insert_from(&self.occupied, banks);
+        self.quiet_until = 0;
+    }
+
+    /// Bring the caches up to date for a sweep at `now`: recompute the
+    /// dirty banks, then ripen the banks whose time has come. Returns
+    /// whether any bank is ripe.
+    fn settle(
+        &mut self,
+        now: u64,
+        writes: bool,
+        banks: &[BankState],
+        ranks: &[RankState],
+        bank_rank: &[u32],
+        t: &DramTiming,
+    ) -> bool {
+        for w in 0..self.dirty.words.len() {
+            let mut bits = std::mem::take(&mut self.dirty.words[w]);
+            while bits != 0 {
+                let b = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let rank = &ranks[bank_rank[b] as usize];
+                self.recompute(b, now, writes, &banks[b], rank, t);
+            }
+        }
+        let cached = &self.banks;
+        self.cas.ripen(now, |b| cached[b].cas_at);
+        self.row.ripen(now, |b| cached[b].row_at);
+        !(self.cas.ripe.is_empty() && self.row.ripe.is_empty())
+    }
+
+    /// Recompute bank `b`'s cached CAS and row-command times from its
+    /// bank and rank state.
+    fn recompute(
+        &mut self,
+        b: usize,
+        now: u64,
+        writes: bool,
+        bank: &BankState,
+        rank: &RankState,
+        t: &DramTiming,
+    ) {
+        let bq = &mut self.banks[b];
+        let (cas_at, row_at) = match (bank.open_row, bq.entries.first()) {
+            (_, None) => (NEVER, NEVER),
+            (Some(open), Some(head)) => {
+                let cas_at = match bq.entries.iter().find(|e| e.row == open) {
+                    Some(e) => {
+                        bq.cas = *e;
+                        let cmd = if writes {
+                            bank.next_write.max(rank.next_write)
+                        } else {
+                            bank.next_read.max(rank.next_read)
+                        };
+                        cmd.max(rank.ready_at)
+                    }
+                    None => NEVER,
+                };
+                let row_at = if head.row == open {
+                    NEVER
+                } else {
+                    bank.next_precharge
+                };
+                (cas_at, row_at)
+            }
+            (None, Some(_)) => (NEVER, bank.next_activate.max(rank.activate_allowed_at(t))),
+        };
+        let old_cas = std::mem::replace(&mut bq.cas_at, cas_at);
+        let old_row = std::mem::replace(&mut bq.row_at, row_at);
+        self.cas.place(b, old_cas, cas_at, now);
+        self.row.place(b, old_row, row_at, now);
+    }
+
+    /// The ripe bank in `set` ∩ `banks` whose `key` entry is oldest.
+    fn oldest(
+        &self,
+        set: &BankSet,
+        banks: Range<usize>,
+        key: impl Fn(&BankQueue) -> u64,
+    ) -> Option<usize> {
+        set.iter_in(banks).min_by_key(|&b| key(&self.banks[b]))
+    }
+
+    /// After a sweep at which nothing could issue: the earliest cycle
+    /// any pending command can, given the bus gates (`g_same` for the
+    /// banks of the last burst's rank, `last`, and `g_other` for the
+    /// rest).
+    fn wake(&mut self, last: Range<usize>, g_same: u64, g_other: u64) -> u64 {
+        debug_assert!(self.row.ripe.iter_in(0..self.banks.len()).next().is_none());
+        let mut wake = NEVER;
+        // One rank's banks carry the same-rank gate: scan them.
+        for b in self.occupied.iter_in(last.clone()) {
+            let at = self.banks[b].cas_at;
+            if at != NEVER {
+                wake = wake.min(at.max(g_same));
+            }
+        }
+        // Every other bank waits for max(its time, g_other): g_other
+        // itself if one is ripe, else the earliest pending time. When
+        // that bank lies in the last rank, the scan above already found
+        // something no later.
+        let cached = &self.banks;
+        if self.cas.ripe.any_outside(&last) {
+            wake = wake.min(g_other);
+        } else if let Some((at, b)) = self.cas.next(|b| cached[b].cas_at) {
+            if !last.contains(&b) {
+                wake = wake.min(at.max(g_other));
+            }
+        }
+        if let Some((at, _)) = self.row.next(|b| cached[b].row_at) {
+            wake = wake.min(at);
+        }
+        self.quiet_until = wake;
+        wake
     }
 
     /// Live requests in global age order, for snapshot serialization.
@@ -189,9 +533,9 @@ impl RequestQueue {
     /// age, so behavior is identical (canonical restore).
     fn live_by_seq(&self) -> Vec<Request> {
         let mut entries: Vec<(u64, u32)> = self
-            .by_bank
+            .banks
             .iter()
-            .flat_map(|list| list.iter().map(|e| (e.seq, e.slot)))
+            .flat_map(|bq| bq.entries.iter().map(|e| (e.seq, e.slot)))
             .collect();
         entries.sort_unstable_by_key(|&(seq, _)| seq);
         entries
@@ -214,18 +558,12 @@ pub struct Channel {
     stats: ChannelStats,
     completions: Vec<Completion>,
     cmd_log: Option<Vec<IssuedCommand>>,
-    /// Lower bound on the next cycle at which any command can issue;
-    /// `tick` is a no-op before it. Reset on enqueue and fast-forward.
+    /// The exact next cycle at which a command, refresh or drain-flag
+    /// flip can occur; `tick` is a no-op before it. Reset on enqueue and
+    /// fast-forward.
     next_wake: u64,
-    /// Per-rank CAS-gate cache for `schedule` (rank command spacing +
-    /// refresh block + bus turnaround, uniform per rank), computed
-    /// lazily per sweep; bumping `gate_gen` invalidates all entries in
-    /// O(1).
-    gate_gen: u64,
-    rank_gate: Vec<u64>,
-    gate_stamp: Vec<u64>,
-    /// Rank of each bank index, so the scheduler sweep looks ranks up
-    /// instead of dividing by `banks_per_rank` per visited bank.
+    /// Rank of each bank index, so recomputing a bank looks its rank up
+    /// instead of dividing by `banks_per_rank`.
     bank_rank: Vec<u32>,
     /// Earliest `next_refresh` over all ranks, recomputed after every
     /// refresh, fast-forward and restore so `tick` need not scan the
@@ -255,9 +593,6 @@ impl Channel {
             completions: Vec::new(),
             cmd_log: None,
             next_wake: 0,
-            gate_gen: 0,
-            rank_gate: vec![0; g.ranks_per_channel as usize],
-            gate_stamp: vec![0; g.ranks_per_channel as usize],
             bank_rank: (0..nbanks as u32).map(|b| b / g.banks_per_rank).collect(),
             refresh_due,
         }
@@ -331,11 +666,11 @@ impl Channel {
     }
 
     /// The next DRAM cycle at which [`Self::tick`] does any work: the
-    /// precomputed wake time covering command issue, watermark flips,
-    /// and refresh deadlines. Ticks strictly before it are no-ops by
-    /// construction (the early return above), so a caller that knows no
-    /// new requests will arrive may skip straight to it. Any `enqueue`
-    /// resets it to 0.
+    /// exact earliest cycle at which a command can issue, a refresh falls
+    /// due, or the write-drain flag flips. Ticks strictly before it are
+    /// no-ops by construction (the early return above), so a caller that
+    /// knows no new requests will arrive may skip straight to it. Any
+    /// `enqueue` resets it to 0.
     pub fn next_event(&self) -> u64 {
         self.next_wake
     }
@@ -357,14 +692,15 @@ impl Channel {
 
     /// Advance one DRAM cycle: handle refresh, pick and issue at most one
     /// command. Cycles before the precomputed wake time are no-ops and
-    /// return immediately.
+    /// return immediately. `now` never decreases from one call to the
+    /// next.
     pub fn tick(&mut self, now: u64) {
         if now < self.next_wake {
             return;
         }
         self.handle_refresh(now);
 
-        let q = &self.cfg.queues;
+        let q = self.cfg.queues;
         if self.draining_writes {
             if self.write_q.len() <= q.write_low_watermark {
                 self.draining_writes = false;
@@ -376,34 +712,31 @@ impl Channel {
         }
 
         let serve_writes = self.draining_writes || self.read_q.is_empty();
-        let queue_wake = if serve_writes && !self.write_q.is_empty() {
-            self.schedule(now, true)
-        } else if !self.read_q.is_empty() {
-            self.schedule(now, false)
-        } else {
-            Some(u64::MAX)
-        };
-        self.next_wake = match queue_wake {
+        let writes = serve_writes && !self.write_q.is_empty();
+        let busy = writes || !self.read_q.is_empty();
+        if busy && self.schedule(now, writes) {
             // A command issued; state changed, so re-evaluate next cycle.
-            None => now + 1,
-            Some(qw) => {
-                // If the drain flag is not at a fixed point for the
-                // current queue lengths, it flips next tick; don't skip
-                // over that.
-                let flag = self.draining_writes;
-                let qcfg = &self.cfg.queues;
-                let next_flag = if flag {
-                    self.write_q.len() > qcfg.write_low_watermark
-                } else {
-                    self.write_q.len() >= qcfg.write_high_watermark
-                        || (self.read_q.is_empty() && !self.write_q.is_empty())
-                };
-                if next_flag != flag {
-                    now + 1
-                } else {
-                    qw.min(self.refresh_due).max(now + 1)
-                }
-            }
+            self.next_wake = now + 1;
+            return;
+        }
+        // The queue's wake is computed (and cached as its quiet time)
+        // even when the drain flag flips next tick: the flag oscillates
+        // every cycle while only a few writes are pending, and the cache
+        // keeps those sweeps O(1).
+        let queue_wake = if busy { self.wake(now, writes) } else { NEVER };
+        // If the drain flag is not at a fixed point for the current
+        // queue lengths, it flips next tick; don't skip over that.
+        let flag = self.draining_writes;
+        let next_flag = if flag {
+            self.write_q.len() > q.write_low_watermark
+        } else {
+            self.write_q.len() >= q.write_high_watermark
+                || (self.read_q.is_empty() && !self.write_q.is_empty())
+        };
+        self.next_wake = if next_flag != flag {
+            now + 1
+        } else {
+            queue_wake.min(self.refresh_due).max(now + 1)
         };
     }
 
@@ -412,11 +745,15 @@ impl Channel {
     pub fn fast_forward(&mut self, to: u64) {
         let t = self.cfg.timing;
         for r in 0..self.ranks.len() {
+            let before = self.ranks[r].next_refresh;
             while self.ranks[r].next_refresh <= to {
                 let deadline = self.ranks[r].next_refresh;
                 self.ranks[r].refresh(deadline, &t);
                 self.stats.refreshes += 1;
                 self.log_cmd(deadline, Command::Refresh, r as u32, 0, 0);
+            }
+            if self.ranks[r].next_refresh != before {
+                self.touch(rank_banks(&self.cfg, r as u32));
             }
         }
         self.refresh_due = earliest_refresh(&self.ranks);
@@ -444,161 +781,89 @@ impl Channel {
                 self.ranks[r].refresh(now, &t);
                 self.stats.refreshes += 1;
                 self.log_cmd(now, Command::Refresh, r as u32, 0, 0);
+                self.touch(rank_banks(&self.cfg, r as u32));
             }
         }
         self.refresh_due = earliest_refresh(&self.ranks);
     }
 
-    /// FR-FCFS over the selected queue: issue a row-hit CAS if possible,
-    /// otherwise make progress (ACT/PRE) for the oldest serviceable
-    /// request.
+    /// FR-FCFS over the selected queue: issue the oldest issuable
+    /// row-hit CAS if there is one, otherwise the oldest issuable row
+    /// command (PRE or ACT). Returns whether a command issued.
     ///
-    /// Returns `None` if a command issued, or `Some(wake)` — the earliest
-    /// cycle at which any of the queue's pending requests could make
-    /// progress (`u64::MAX` if none are schedulable) — computed for free
-    /// during the same sweep. The bound is exact for the frozen state
-    /// between events, so skipping to it never changes behavior.
-    ///
-    /// The sweep visits each bank with pending requests exactly once,
-    /// because every scheduling decision is bank-local given two facts:
-    ///
-    /// * a CAS candidate is the bank's *oldest row-matching* request
-    ///   (CAS legality is uniform across a bank), and
-    /// * the PRE/ACT decision belongs to the bank's *oldest* request —
-    ///   a younger conflict may never close a row an older request still
-    ///   wants, and `act_at` is identical for every request of a closed
-    ///   bank.
-    ///
-    /// Ties across banks resolve by global age (sequence number), which
-    /// reproduces the reference scheduler's age-order scan without
-    /// walking the whole queue. Rank-level CAS gates (rank command
-    /// spacing, refresh block, bus turnaround) are computed lazily once
-    /// per rank per sweep.
-    fn schedule(&mut self, now: u64, writes: bool) -> Option<u64> {
-        let mut wake = u64::MAX;
-        let t = self.cfg.timing;
-        let lat = if writes { t.t_cwd } else { t.t_cas };
-
-        self.gate_gen += 1;
-        let gen = self.gate_gen;
-        let q = if writes { &self.write_q } else { &self.read_q };
-        let banks = &self.banks;
-        let ranks = &self.ranks;
-        let bank_rank = &self.bank_rank;
-        let bus = self.bus;
-        let gates = &mut self.rank_gate;
-        let stamps = &mut self.gate_stamp;
-
-        // Best issuable CAS / row command, by global age.
-        let mut cas_best: Option<(u64, u32)> = None; // (seq, slot)
-        let mut open_best: Option<(u64, u32, u32)> = None; // (seq, bank, head slot)
-
-        for &b in q.active_banks() {
-            let bi = b as usize;
-            let list = q.bank_list(bi);
-            let head = list[0];
-            let bank = &banks[bi];
-            let r = bank_rank[bi] as usize;
-            match bank.open_row {
-                Some(open) => {
-                    // CAS candidate: the bank's oldest row-matching request.
-                    if let Some(e) = list.iter().find(|e| e.row == open) {
-                        if stamps[r] != gen {
-                            let rank = &ranks[r];
-                            let cmd = if writes {
-                                rank.next_write
-                            } else {
-                                rank.next_read
-                            };
-                            let mut bus_ready = bus.free_at.saturating_sub(lat);
-                            if let Some(last) = bus.last_rank {
-                                if last as usize != r {
-                                    bus_ready =
-                                        bus_ready.max((bus.free_at + t.t_rtrs).saturating_sub(lat));
-                                }
-                            }
-                            gates[r] = rank.ready_at.max(cmd).max(bus_ready);
-                            stamps[r] = gen;
-                        }
-                        let bank_cmd = if writes {
-                            bank.next_write
-                        } else {
-                            bank.next_read
-                        };
-                        let cas_at = bank_cmd.max(gates[r]);
-                        debug_assert_eq!(
-                            cas_at,
-                            earliest_cas(
-                                &t,
-                                bank,
-                                &ranks[q.req(e.slot).coords.rank as usize],
-                                &bus,
-                                q.req(e.slot),
-                            ),
-                            "lazy rank gate must reproduce earliest_cas"
-                        );
-                        if cas_at <= now {
-                            if cas_best.is_none_or(|(bs, _)| e.seq < bs) {
-                                cas_best = Some((e.seq, e.slot));
-                            }
-                        } else {
-                            wake = wake.min(cas_at);
-                        }
-                    }
-                    // PRE decision: only the bank's oldest request may
-                    // close the row, and only if it conflicts (an older
-                    // row hit must drain first).
-                    if head.row != open {
-                        if now >= bank.next_precharge {
-                            if open_best.is_none_or(|(bs, _, _)| head.seq < bs) {
-                                open_best = Some((head.seq, b, head.slot));
-                            }
-                        } else {
-                            wake = wake.min(bank.next_precharge);
-                        }
-                    }
-                }
-                None => {
-                    let act_at = bank.next_activate.max(ranks[r].activate_allowed_at(&t));
-                    if act_at <= now {
-                        if open_best.is_none_or(|(bs, _, _)| head.seq < bs) {
-                            open_best = Some((head.seq, b, head.slot));
-                        }
-                    } else {
-                        wake = wake.min(act_at);
-                    }
-                }
-            }
+    /// The sweep recomputes only the dirty banks and reads the ripe
+    /// sets; the data bus gates each ripe CAS by its rank.
+    fn schedule(&mut self, now: u64, writes: bool) -> bool {
+        let t = &self.cfg.timing;
+        let q = if writes {
+            &mut self.write_q
+        } else {
+            &mut self.read_q
+        };
+        if now < q.quiet_until
+            || !q.settle(now, writes, &self.banks, &self.ranks, &self.bank_rank, t)
+        {
+            return false;
         }
-
-        if let Some((_, slot)) = cas_best {
-            let req = *self.queue(writes).req(slot);
+        let (last, g_same, g_other) = self.bus.gates(&self.cfg, writes);
+        let cas_from = if g_other <= now {
+            Some(0..self.banks.len())
+        } else if g_same <= now {
+            Some(last.clone())
+        } else {
+            None
+        };
+        if let Some(b) = cas_from.and_then(|banks| q.oldest(&q.cas.ripe, banks, |bq| bq.cas.seq)) {
+            let slot = q.banks[b].cas.slot;
+            let req = *q.req(slot);
             self.issue_cas(&req, now, !req.caused_row_miss);
             self.queue_mut(writes).remove(slot);
-            return None;
+            self.touch(rank_banks(&self.cfg, req.coords.rank));
+            return true;
         }
-        if let Some((_, b, head)) = open_best {
-            let bi = b as usize;
-            let req = *self.queue(writes).req(head);
-            match self.banks[bi].open_row {
+        if let Some(b) = q.oldest(&q.row.ripe, 0..self.banks.len(), |bq| bq.entries[0].seq) {
+            let head = q.banks[b].entries[0].slot;
+            q.req_mut(head).caused_row_miss = true;
+            let req = *q.req(head);
+            let t = self.cfg.timing;
+            match self.banks[b].open_row {
                 Some(open) => {
-                    self.banks[bi].precharge(now, &t);
+                    self.banks[b].precharge(now, &t);
                     self.stats.precharges += 1;
-                    self.queue_mut(writes).req_mut(head).caused_row_miss = true;
-                    self.log_cmd(now, Command::Precharge, req.coords.rank, b, open);
+                    self.log_cmd(now, Command::Precharge, req.coords.rank, b as u32, open);
+                    self.touch(b..b + 1);
                 }
                 None => {
-                    let rank = req.coords.rank as usize;
-                    self.banks[bi].activate(req.coords.row, now, &t);
-                    self.ranks[rank].activate(now, &t);
+                    let rank = req.coords.rank;
+                    self.banks[b].activate(req.coords.row, now, &t);
+                    self.ranks[rank as usize].activate(now, &t);
                     self.stats.activates += 1;
-                    self.queue_mut(writes).req_mut(head).caused_row_miss = true;
-                    self.log_cmd(now, Command::Activate, req.coords.rank, b, req.coords.row);
+                    self.log_cmd(now, Command::Activate, rank, b as u32, req.coords.row);
+                    self.touch(rank_banks(&self.cfg, rank));
                 }
             }
-            return None;
+            return true;
         }
-        Some(wake)
+        false
+    }
+
+    /// After a sweep of the selected queue at `now` issued nothing: the
+    /// exact earliest cycle at which any of its requests can make
+    /// progress (`u64::MAX` if none can), given the frozen state.
+    fn wake(&mut self, now: u64, writes: bool) -> u64 {
+        let quiet_until = self.queue(writes).quiet_until;
+        if now < quiet_until {
+            return quiet_until;
+        }
+        let (last, g_same, g_other) = self.bus.gates(&self.cfg, writes);
+        self.queue_mut(writes).wake(last, g_same, g_other)
+    }
+
+    /// Bank or rank timing of `banks` changed: both queues recompute
+    /// their cached times for them at their next sweep.
+    fn touch(&mut self, banks: Range<usize>) {
+        self.read_q.touch(&banks);
+        self.write_q.touch(&banks);
     }
 
     fn queue(&self, writes: bool) -> &RequestQueue {
@@ -666,9 +931,10 @@ persist!(DataBus {
 /// The full controller state for a crash-recovery snapshot: bank/rank
 /// timing, bus, both queues (age order), drain flag, stats, and
 /// undrained completions. Loading restores a freshly constructed
-/// channel (same config); the scheduler's wake time and rank-gate
-/// caches are recomputed, not restored: resetting them only costs a
-/// redundant sweep, never changes the command stream.
+/// channel (same config); the scheduler's wake time and per-bank issue
+/// times are derived state, rebuilt rather than restored: every restored
+/// request marks its bank for recomputation, and the wake resets to 0,
+/// so the first tick sweeps afresh and the command stream is unchanged.
 ///
 /// # Panics
 /// Saving panics if command logging is enabled — the log is a
@@ -705,9 +971,6 @@ impl Persist for Channel {
         r.get_into(&mut self.completions, "channel completions")?;
         self.cmd_log = None;
         self.next_wake = 0;
-        self.gate_gen = 0;
-        self.rank_gate.fill(0);
-        self.gate_stamp.fill(0);
         Ok(())
     }
 }
@@ -747,32 +1010,6 @@ fn earliest_refresh(ranks: &[RankState]) -> u64 {
         .map(|r| r.next_refresh)
         .min()
         .unwrap_or(u64::MAX)
-}
-
-/// Earliest cycle at which `req`'s column access passes every
-/// `cas_allowed` check, given frozen bank/rank/bus state. Each check is
-/// of the form `now >= X` (the bus checks after moving the burst latency
-/// to the left-hand side), so the earliest legal cycle is their max.
-fn earliest_cas(
-    t: &DramTiming,
-    bank: &BankState,
-    rank: &RankState,
-    bus: &DataBus,
-    req: &Request,
-) -> u64 {
-    let lat = if req.is_write { t.t_cwd } else { t.t_cas };
-    let cmd_ready = if req.is_write {
-        bank.next_write.max(rank.next_write)
-    } else {
-        bank.next_read.max(rank.next_read)
-    };
-    let mut bus_ready = bus.free_at.saturating_sub(lat);
-    if let Some(last) = bus.last_rank {
-        if last != req.coords.rank {
-            bus_ready = bus_ready.max((bus.free_at + t.t_rtrs).saturating_sub(lat));
-        }
-    }
-    rank.ready_at.max(cmd_ready).max(bus_ready)
 }
 
 #[cfg(test)]
@@ -951,8 +1188,8 @@ mod tests {
     #[test]
     fn slab_slots_recycle_across_waves() {
         // Several full capacity waves through the same queue: slot reuse,
-        // tombstone compaction, and the active-bank list must all stay
-        // consistent, and every request must complete exactly once.
+        // the per-bank caches and the ripe sets must all stay consistent,
+        // and every request must complete exactly once.
         let (mut ch, dec) = setup();
         let cap = DramConfig::table_iii().queues.read_queue as u64;
         let mut now = 0;
@@ -983,6 +1220,139 @@ mod tests {
             ch.tick(now);
         }
         assert!(ch.stats().refreshes >= 16);
+    }
+
+    /// SplitMix64: the seeded source for the wake-tightness streams.
+    fn next_rand(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// `(arrival cycle, block address, is_write)` triples. Dense streams
+    /// arrive every few cycles, bursty ones in saturating bursts, gapped
+    /// ones with idle stretches that span refreshes. Half the accesses
+    /// revisit a recent block's row; the rest spread over all ranks.
+    fn seeded_stream(seed: u64, len: usize) -> Vec<(u64, u64, bool)> {
+        let mut rng = seed;
+        let t = DramConfig::table_iii().timing;
+        let mut recent = [0u64; 8];
+        let mut at = 0u64;
+        (0..len)
+            .map(|i| {
+                let r = next_rand(&mut rng);
+                at += match seed % 3 {
+                    0 => r % 4,
+                    1 if i % 48 == 0 => 200 + r % 2_000,
+                    1 => 0,
+                    _ => r % 64 + if r.is_multiple_of(16) { t.t_refi } else { 0 },
+                };
+                let slot = (r >> 8) as usize % recent.len();
+                let block = if r & (1 << 20) == 0 {
+                    recent[slot] ^ ((r >> 24) % 4)
+                } else {
+                    (r >> 24) % (1 << 22)
+                };
+                recent[slot] = block;
+                (at, block * BLOCK_BYTES, (r >> 40) % 10 < 3)
+            })
+            .collect()
+    }
+
+    /// A channel of more than 128 banks (three words per bank set)
+    /// schedules exactly as the reference does.
+    #[test]
+    fn wide_channel_matches_reference() {
+        let mut cfg = DramConfig::table_iii();
+        cfg.geometry.ranks_per_channel = 32;
+        cfg.geometry.rows_per_bank /= 2;
+        let cfg = DramConfig::new(cfg.geometry, cfg.timing, cfg.power, cfg.queues, cfg.mapping)
+            .expect("valid geometry");
+        let dec = AddressDecoder::new(cfg.geometry, cfg.mapping);
+        let mut ch = Channel::new(cfg);
+        let mut refc = crate::reference::ReferenceChannel::new(cfg);
+        ch.enable_cmd_log();
+        refc.enable_cmd_log();
+        let stream = seeded_stream(1, 2_000);
+        let (mut next, mut now) = (0usize, 0u64);
+        while next < stream.len() || !ch.is_idle() {
+            while next < stream.len() && stream[next].0 <= now {
+                let (_, addr, is_write) = stream[next];
+                let r = req(&dec, next as u64, addr, is_write, now);
+                let accepted = ch.enqueue(r);
+                assert_eq!(accepted, refc.enqueue(r), "acceptance at cycle {now}");
+                if !accepted {
+                    break;
+                }
+                next += 1;
+            }
+            ch.tick(now);
+            refc.tick(now);
+            assert_eq!(
+                ch.take_completions(),
+                refc.take_completions(),
+                "cycle {now}"
+            );
+            now += 1;
+        }
+        let log = ch.take_cmd_log();
+        assert!(
+            log.iter().any(|c| c.rank >= 16),
+            "the stream should reach the upper ranks"
+        );
+        assert_eq!(log, refc.take_cmd_log());
+        assert_eq!(ch.stats(), refc.stats());
+    }
+
+    /// The wake is exact, not a lower bound: after a tick that changes
+    /// nothing, if no request arrives before the wake `W`, the tick at
+    /// `W` issues a command or refresh, or flips write drain. The run
+    /// loop's skip windows and snapshot capture points depend on it.
+    #[test]
+    fn next_event_is_the_exact_next_change() {
+        let (mut checks, mut loose) = (0u64, 0u64);
+        for seed in 0..12u64 {
+            let (mut ch, dec) = setup();
+            ch.enable_cmd_log();
+            let stream = seeded_stream(seed, 1_500);
+            let (mut next, mut now, mut id) = (0usize, 0u64, 0u64);
+            // The wake to verify, once the tick at it runs.
+            let mut due: Option<u64> = None;
+            while next < stream.len() || !ch.is_idle() {
+                while next < stream.len() && stream[next].0 <= now {
+                    let (_, addr, is_write) = stream[next];
+                    if !ch.enqueue(req(&dec, id, addr, is_write, now)) {
+                        break;
+                    }
+                    id += 1;
+                    next += 1;
+                }
+                let logged = ch.cmd_log.as_ref().map_or(0, Vec::len);
+                let draining = ch.draining_writes;
+                ch.tick(now);
+                ch.take_completions();
+                let changed = ch.cmd_log.as_ref().map_or(0, Vec::len) != logged
+                    || ch.draining_writes != draining;
+                if due == Some(now) {
+                    checks += 1;
+                    loose += u64::from(!changed);
+                    due = None;
+                }
+                let wake = ch.next_event();
+                let arrival = stream.get(next).map_or(u64::MAX, |s| s.0.max(now + 1));
+                if !changed && now + 1 < wake && wake < u64::MAX && arrival > wake {
+                    due = Some(wake);
+                }
+                now += 1;
+            }
+        }
+        assert!(checks > 5_000, "only {checks} wakes checked");
+        assert_eq!(
+            loose, 0,
+            "{loose} of {checks} wakes were not the next change"
+        );
     }
 
     /// A queued request record: id, addr, five coordinates (u64

@@ -281,14 +281,7 @@ impl Args {
                 None if !a.starts_with('-') && out.value(&OPS).is_none() => {
                     (&OPS, "ops", a.clone())
                 }
-                None => {
-                    let (name, expected) = ("argument".to_owned(), usage());
-                    return Err(KnobError {
-                        name,
-                        value: a,
-                        expected,
-                    });
-                }
+                None => return Err(bad_argument(a, usage())),
             };
             if knob.scope != Scope::RunAll {
                 out.forward.extend([a].into_iter().chain(taken));
@@ -330,6 +323,15 @@ pub fn usage() -> String {
     format!("[ops]{flags}")
 }
 
+/// The error for a command-line token the program does not take.
+fn bad_argument(value: String, expected: String) -> KnobError {
+    KnobError {
+        name: "argument".to_owned(),
+        value,
+        expected,
+    }
+}
+
 static ARGS: OnceLock<Result<Args, KnobError>> = OnceLock::new();
 
 /// Parse the process's command line against the table, once; from then
@@ -338,6 +340,21 @@ static ARGS: OnceLock<Result<Args, KnobError>> = OnceLock::new();
 pub fn load_args() -> Result<&'static Args, KnobError> {
     let args = ARGS.get_or_init(|| Args::parse(std::env::args().skip(1)));
     args.as_ref().map_err(Clone::clone)
+}
+
+/// Refuse any command-line argument, for a program (`itesp-serve`) whose
+/// settings are the rows of `scope` alone: a flag such as `--shards 8`
+/// must not start it with the defaults as if it had been honored.
+pub fn no_args(scope: Scope) -> Result<(), KnobError> {
+    match std::env::args_os().nth(1) {
+        None => Ok(()),
+        Some(arg) => {
+            let rows = TABLE.iter().filter(|k| k.scope == scope);
+            let names: Vec<&str> = rows.map(|k| k.env).collect();
+            let expected = format!("no arguments; settings are {}", names.join(", "));
+            Err(bad_argument(arg.to_string_lossy().into_owned(), expected))
+        }
+    }
 }
 
 macro_rules! knobs {

@@ -6,9 +6,10 @@
 //!
 //! Settings are the `ITESP_SERVE_*` rows of the workspace's settings
 //! table, `itesp_orchestrate::knobs` (state directory, shards, queue
-//! depth, snapshot cadence, deadlines, retries, chaos directives). A
-//! malformed value is reported as `error: …` and exits 2 before the
-//! daemon binds or writes its `ports` file.
+//! depth, snapshot cadence, deadlines, retries, chaos directives); the
+//! daemon takes no command-line arguments. A malformed value, or any
+//! argument, is reported as `error: …` and exits 2 before the daemon
+//! binds or writes its `ports` file.
 //!
 //! SIGTERM drains: new admissions are refused, in-flight requests
 //! finish, the stats registry is snapshotted, and the process exits 0.
@@ -16,7 +17,7 @@
 
 use std::path::PathBuf;
 
-use itesp_orchestrate::knobs::{self, KnobError};
+use itesp_orchestrate::knobs::{self, KnobError, Scope};
 use itesp_serve::server::{install_sigterm_handler, Server};
 use itesp_serve::ServerConfig;
 
@@ -35,6 +36,7 @@ fn config() -> Result<ServerConfig, KnobError> {
 }
 
 fn main() {
+    knobs::exit_on(knobs::no_args(Scope::Serve));
     let cfg = knobs::exit_on(config());
     install_sigterm_handler();
     let server = match Server::start(cfg) {
